@@ -14,8 +14,8 @@ import sys
 from importlib import resources
 
 from . import linalg, monotone, oracle
-from .corpus import (ContextConfig, LexiconFormatError, export_vectors_tsv,
-                     load_lexicon, tokenize)
+from .corpus import (ContextConfig, Lexicon, LexiconFormatError,
+                     export_vectors_tsv, load_lexicon, tokenize)
 from .functor import (NoParseError, UnknownWordError, enumerate_analyses,
                       preller_obstruction, sentence_meaning)
 from .pregroup import (BasicType, CompoundType, ReductionDiagram, SimpleType,
@@ -160,7 +160,7 @@ def cmd_meaning(args) -> int:
     if args.json:
         doc = {"parse": [list(c) for c in analysis.chosen.sorted_cups],
                "meaning": _tensor_literal(analysis.meaning)}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
         return EXIT_OK
     print(render_reduction(analysis.chosen))
     meaning = analysis.meaning
@@ -217,6 +217,28 @@ def seeded_monotone_maps(count: int, seed: int) -> list[monotone.MonotoneMap]:
     return maps
 
 
+def seeded_lexicon(rng: random.Random, length: int) -> tuple[Lexicon, list]:
+    """A seeded lexicon of ``length`` words, one or two readings each, and
+    the sentence of those words.  Basic types a and b get dims 1..3;
+    readings are up to three simples with exponents -1..1, at most seven
+    simples per reading combination; data is integers 0..3."""
+    spaces = {b: linalg.VectorSpace(b, rng.randint(1, 3)) for b in "ab"}
+    lexicon = Lexicon(spaces)
+    budget = 7
+    for k in range(length):
+        longest = rng.randint(0, min(3, budget))
+        budget -= longest
+        for _ in range(rng.randint(1, 2)):
+            simples = [rng.choice("ab") + rng.choice(("", "^l", "^r"))
+                       for _ in range(rng.randint(0, longest))]
+            size = 1
+            for simple in simples:
+                size *= spaces[simple[0]].dim
+            lexicon.add(f"w{k}", " ".join(simples),
+                        [rng.randint(0, 3) for _ in range(size)])
+    return lexicon, [f"w{k}" for k in range(length)]
+
+
 def _report(rows) -> int:
     ok = True
     for label, passed in rows:
@@ -265,7 +287,21 @@ def cmd_verify(args) -> int:
                          monotone.galois_check(f, win)))
         return _report(rows)
 
+    if args.suite == "contract":
+        rng = random.Random(args.seed)
+        samples = 100 if args.samples is None else args.samples
+        rows = []
+        for length in range(1, 6):
+            ok = True
+            for _ in range(samples):
+                lexicon, words = seeded_lexicon(rng, length)
+                ok = ok and oracle.contraction_disagreement(lexicon, words) is None
+            rows.append((f"contract words={length} ({samples} seeded lexicons)",
+                         ok))
+        return _report(rows)
+
     if args.suite == "oracle":
+        samples = 3500 if args.samples is None else args.samples
         rows = []
         bases = (BasicType("a"), BasicType("b"))
         alphabet = [SimpleType(b, z) for b in bases for z in (-1, 0, 1)]
@@ -278,7 +314,7 @@ def cmd_verify(args) -> int:
             else:
                 sources = [
                     CompoundType(rng.choice(alphabet) for _ in range(length))
-                    for _ in range(args.samples)]
+                    for _ in range(samples)]
                 label = f"oracle len={length} ({len(sources)} seeded sources)"
             rows.append((label, _oracle_agrees(sources)))
         return _report(rows)
@@ -388,14 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_vectors)
 
     p = sub.add_parser("verify", help="run a self-verification suite")
-    p.add_argument("suite", choices=["yanking", "preller", "galois", "oracle"])
+    p.add_argument("suite",
+                   choices=["yanking", "preller", "galois", "oracle", "contract"])
     p.add_argument("--dims", help="dimension range, e.g. 1..16")
     p.add_argument("--window", dest="window_range",
                    help="integer window, e.g. -100..100 (galois)")
     p.add_argument("--max-len", type=int, default=8, dest="max_len",
                    help="max compound type length (oracle)")
-    p.add_argument("--samples", type=int, default=3500,
-                   help="seeded sources per length above full coverage (oracle)")
+    p.add_argument("--samples", type=int,
+                   help="seeded cases per row: sources per length above full "
+                        "coverage (oracle, default 3500), lexicons per "
+                        "sentence length (contract, default 100)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.set_defaults(func=cmd_verify)
 
@@ -414,6 +453,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ through a small JSON format, with one-dimensional exports as TSV.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -233,12 +234,20 @@ def save_lexicon(lexicon: Lexicon, path):
         fh.write("\n")
 
 
+def _finite_float(text: str):
+    value = float(text)
+    return value if math.isfinite(value) else text
+
+
 def load_lexicon(path) -> Lexicon:
     """Read and validate a lexicon file.  Schema violations raise
     :class:`LexiconFormatError` naming the offending field path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            # NaN, +-Infinity and overflowing floats such as 1e999 load
+            # as strings, so the number check below rejects them without
+            # another pass over the data
+            doc = json.load(fh, parse_constant=str, parse_float=_finite_float)
         except json.JSONDecodeError as exc:
             raise LexiconFormatError("$", f"not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "$", "top level must be an object")
@@ -288,7 +297,7 @@ def load_lexicon(path) -> Lexicon:
         _expect(isinstance(data, list)
                 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                         for x in data),
-                f"{where}.tensor.data", "must be a list of numbers")
+                f"{where}.tensor.data", "must be a list of finite numbers")
         expected_dims = []
         for t in gtype:
             _expect(t.base.name in spaces, f"{where}.type",

@@ -3,8 +3,10 @@
 Basic types map to spaces, duals collapse onto the same space, compound
 types map to tensor products, and a reduction diagram maps to the
 contraction plan that pairs exactly its cup positions.  Composing the two
-sides gives the sentence-meaning pipeline: concatenate the word states,
-contract along a chosen reduction, read off the residual tensor.
+sides gives the sentence-meaning pipeline: the word states' tensor
+product contracted along a chosen reduction.  It is evaluated word by
+word (:func:`gramsem.linalg.contract_states`), so the full product of the
+word states is never built; the residual tensor is read off at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import ContractionPlan, Tensor, VectorSpace, contract, tensor_product
+from .linalg import (ContractionPlan, Tensor, VectorSpace, contract,
+                     contract_states, tensor_product)
 from .pregroup import (CompoundType, ReductionDiagram, SimpleType,
                        enumerate_reductions, parse_type_expr)
 
@@ -140,6 +143,34 @@ def _check_entry_spaces(entry: LexiconEntry, assignment: FunctorAssignment):
             f"match assigned spaces {expected}")
 
 
+def _parses(words, lexicon, assignment: FunctorAssignment,
+            target: CompoundType) -> list:
+    """Every (readings, concatenated type, reduction) triple, uncontracted,
+    in the order of :func:`enumerate_analyses`."""
+    readings = []
+    for w in words:
+        entries = lexicon.entries_for(w)
+        if not entries:
+            raise UnknownWordError(w)
+        for entry in entries:
+            _check_entry_spaces(entry, assignment)
+        readings.append(entries)
+    parses = []
+    for combo in product(*readings):
+        concat = CompoundType()
+        for entry in combo:
+            concat = concat + entry.gtype
+        parses.extend((combo, concat, d)
+                      for d in enumerate_reductions(concat, target))
+    return parses
+
+
+def _analyse(combo, concat, diagram, assignment) -> SentenceAnalysis:
+    meaning = contract_states([e.state for e in combo],
+                              lift_reduction(assignment, diagram))
+    return SentenceAnalysis(combo, concat, diagram, meaning)
+
+
 def enumerate_analyses(words, lexicon, assignment: FunctorAssignment,
                        target: CompoundType | str = "s") -> list[SentenceAnalysis]:
     """Every (reading combination, reduction) pair for the sentence, in a
@@ -151,26 +182,8 @@ def enumerate_analyses(words, lexicon, assignment: FunctorAssignment,
     """
     if isinstance(target, str):
         target = parse_type_expr(target)
-    readings = []
-    for w in words:
-        entries = lexicon.entries_for(w)
-        if not entries:
-            raise UnknownWordError(w)
-        for entry in entries:
-            _check_entry_spaces(entry, assignment)
-        readings.append(entries)
-    analyses = []
-    for combo in product(*readings):
-        concat = CompoundType()
-        for entry in combo:
-            concat = concat + entry.gtype
-        for diagram in enumerate_reductions(concat, target):
-            state = Tensor((), [1.0])
-            for entry in combo:
-                state = tensor_product(state, entry.state)
-            meaning = contract(state, lift_reduction(assignment, diagram))
-            analyses.append(SentenceAnalysis(combo, concat, diagram, meaning))
-    return analyses
+    return [_analyse(*parse, assignment)
+            for parse in _parses(words, lexicon, assignment, target)]
 
 
 def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
@@ -179,7 +192,8 @@ def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
     """Meaning of a sentence under one chosen parse.
 
     ``parse_index`` picks from :func:`enumerate_analyses`; sentences with
-    homonyms or several reductions expose every alternative there.
+    homonyms or several reductions expose every alternative there.  Every
+    parse is counted but only the chosen one is contracted.
 
     Raises :class:`UnknownWordError`, :class:`NoParseError`, or
     :class:`IndexError` when the parse index exceeds the parse count.
@@ -188,16 +202,16 @@ def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
         target = parse_type_expr(target)
     if parse_index < 0:
         raise IndexError(f"parse_index must be >= 0, got {parse_index}")
-    analyses = enumerate_analyses(words, lexicon, assignment, target)
-    if not analyses:
+    parses = _parses(words, lexicon, assignment, target)
+    if not parses:
         raise NoParseError(
             f"no reduction from the types of {' '.join(words)!r} to "
             f"{str(target) or '1'!r}")
-    if parse_index >= len(analyses):
+    if parse_index >= len(parses):
         raise IndexError(
             f"parse_index {parse_index} out of range: sentence has "
-            f"{len(analyses)} parse(s)")
-    return analyses[parse_index]
+            f"{len(parses)} parse(s)")
+    return _analyse(*parses[parse_index], assignment)
 
 
 def identity_verb(noun_space: VectorSpace, sentence_space: VectorSpace) -> Tensor:

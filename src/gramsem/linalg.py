@@ -9,7 +9,6 @@ reshape.  Data is row-major throughout (leftmost index slowest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from string import ascii_letters
 
 import numpy as np
 
@@ -22,6 +21,7 @@ __all__ = [
     "apply_epsilon",
     "tensor_product",
     "contract",
+    "contract_states",
     "yanking_check",
     "state_to_process",
     "process_to_state",
@@ -181,20 +181,50 @@ def contract(t: Tensor, plan: ContractionPlan) -> Tensor:
     With the orthonormal basis fixed this *is* applying the tensor product
     of counits (paired slots) and identities (free slots).
     """
-    if plan.input_spaces != t.spaces:
+    return contract_states((t,), plan)
+
+
+def contract_states(states, plan: ContractionPlan) -> Tensor:
+    """Contract the tensor product of ``states`` along ``plan`` without
+    forming that product; ``plan`` indexes the states' concatenated spaces.
+
+    The states are folded in left to right.  The running array has one
+    axis per wire open at the cut, in position order: free wires and cups
+    whose right end lies further on.  Each state costs one two-operand
+    ``einsum`` whose integer labels are local to that step, so no
+    intermediate is larger than the wires crossing a cut.
+
+    >>> n = VectorSpace("n", 2)
+    >>> a, b = Tensor((n,), [1, 2]), Tensor((n, n), [[3, 4], [5, 6]])
+    >>> contract_states((a, b), ContractionPlan((n,) * 3, {(0, 1)})).flat
+    [13.0, 16.0]
+    """
+    states = tuple(states)
+    spaces = tuple(s for t in states for s in t.spaces)
+    if plan.input_spaces != spaces:
         raise ValueError(
             f"plan expects spaces ({', '.join(map(str, plan.input_spaces))}), "
-            f"tensor has ({', '.join(map(str, t.spaces))})")
-    if not plan.pairs:
-        return t
-    if t.rank > len(ascii_letters):
-        raise ValueError(f"rank {t.rank} exceeds contraction limit")
-    letters = list(ascii_letters[:t.rank])
+            f"tensor has ({', '.join(map(str, spaces))})")
+    partner = {}
     for i, j in plan.pairs:
-        letters[j] = letters[i]
-    out_letters = "".join(letters[i] for i in plan.output_indices)
-    result = np.einsum("".join(letters) + "->" + out_letters, t.array)
-    return Tensor(plan.output_spaces, result)
+        partner[i], partner[j] = j, i
+    acc, open_wires, start = np.ones(()), [], 0
+    for t in states:
+        stop = start + t.rank
+        label = {p: k for k, p in enumerate(open_wires)}
+        acc_labels = list(label.values())
+        word_labels = []
+        for p in range(start, stop):
+            q = partner.get(p, p)
+            if q >= p:  # a wire opens here; otherwise it closes the cup at q
+                label[p] = len(label)
+            word_labels.append(label[min(p, q)])
+        open_wires = [p for p in open_wires + list(range(start, stop))
+                      if partner.get(p, stop) >= stop]
+        acc = np.einsum(acc, acc_labels, t.array, word_labels,
+                        [label[p] for p in open_wires])
+        start = stop
+    return Tensor(plan.output_spaces, acc)
 
 
 def yanking_check(dim: int, tol: float = 0.0) -> bool:

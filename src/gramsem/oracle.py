@@ -3,22 +3,27 @@
 Everything here trades speed for obviousness: reductions are found by
 enumerating *all* partial matchings of wire positions and filtering them
 against the validity rules written out verbatim, and meanings are evaluated
-by looping over every index assignment of the word-state product.  Nothing
-in this module calls the search code in :mod:`gramsem.pregroup` or the
-einsum path in :mod:`gramsem.linalg`.
+by looping over every index assignment of the word-state product.  None
+of these references calls the search code in :mod:`gramsem.pregroup` or
+the einsum path in :mod:`gramsem.linalg`; only
+:func:`contraction_disagreement`, which compares them with those fast
+paths, does.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .pregroup import CompoundType
+from .functor import enumerate_analyses, lift_reduction
+from .linalg import contract_states
+from .pregroup import CompoundType, ReductionDiagram
 
 __all__ = [
     "all_partial_matchings",
     "matching_is_valid",
     "brute_force_reductions",
     "brute_force_contract",
+    "contraction_disagreement",
 ]
 
 
@@ -117,3 +122,37 @@ def brute_force_contract(arrays, pairs):
             offset = offset * dims[p] + assign[p]
         out[offset] += term
     return out_shape, out
+
+
+def contraction_disagreement(lexicon, words) -> str | None:
+    """Compare the meaning pipeline with :func:`brute_force_contract` on
+    every reading combination of ``words`` and every valid matching of its
+    simples, exactly: :func:`gramsem.linalg.contract_states` on each
+    matching, and :func:`gramsem.functor.enumerate_analyses` for each
+    residual, which must list those matchings in canonical order.
+
+    Returns a description of the first disagreement, or ``None``.
+    """
+    assignment = lexicon.functor_assignment()
+    expected: dict[CompoundType, list] = {}
+    for combo in product(*(lexicon.entries_for(w) for w in words)):
+        concat = CompoundType(t for e in combo for t in e.gtype)
+        arrays = [e.state.array for e in combo]
+        valid = sorted(pairs for pairs in all_partial_matchings(len(concat))
+                       if matching_is_valid(concat, pairs))
+        for pairs in valid:
+            want = brute_force_contract(arrays, pairs)
+            diagram = ReductionDiagram(concat, frozenset(pairs))
+            got = contract_states([e.state for e in combo],
+                                  lift_reduction(assignment, diagram))
+            if (got.dims, got.flat) != want:
+                return (f"contract_states on {concat} cups {pairs}: "
+                        f"{got.dims} {got.flat}, expected {want}")
+            expected.setdefault(diagram.residual, []).append(
+                (combo, pairs) + want)
+    for target, cases in expected.items():
+        got = [(a.words, a.chosen.sorted_cups, a.meaning.dims, a.meaning.flat)
+               for a in enumerate_analyses(words, lexicon, assignment, target)]
+        if got != cases:
+            return f"enumerate_analyses to {target or '1'}: {got}, expected {cases}"
+    return None

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gramsem.cli import default_lexicon_path, main, render_reduction
+from gramsem import linalg
 from gramsem.linalg import Tensor, VectorSpace
 from gramsem.pregroup import Cup, ReductionDiagram, parse_type_expr
 
@@ -119,6 +120,45 @@ class TestMeaning:
         assert main(["meaning", "yellow", "banana", "--target", "n"]) == 0
         assert "[21.0, 9.0, 0.0]" in capsys.readouterr().out
 
+    def test_nan_lexicon_exits_2_with_field_path(self, capsys, tmp_path):
+        with open(default_lexicon_path(), encoding="utf-8") as fh:
+            text = fh.read().replace("[21, 9, 0]", "[21, NaN, 0]", 1)
+        path = tmp_path / "nan.json"
+        path.write_text(text, encoding="utf-8")
+        for flags in ([], ["--json"], ["--list-parses"]):
+            assert main(["meaning", "bananas", "are", "fruit",
+                         "--lexicon", str(path), *flags]) == 2
+            captured = capsys.readouterr()
+            assert "entries[0].tensor.data" in captured.err
+            assert "NaN" not in captured.out + captured.err
+
+    def test_json_never_prints_non_finite(self, capsys, tmp_path):
+        # finite data whose meaning overflows to inf
+        with open(default_lexicon_path(), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for entry in doc["entries"]:
+            if entry["word"] in ("bananas", "fruit"):
+                entry["tensor"]["data"] = [1e200, 0, 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["meaning", "bananas", "are", "fruit", "--json",
+                     "--lexicon", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not JSON compliant" in captured.err
+
+    def test_out_of_memory_exits_1_without_traceback(self, capsys,
+                                                     monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.66 GiB for an array")
+
+        monkeypatch.setattr("gramsem.cli.sentence_meaning", exhausted)
+        assert main(["meaning", "bananas", "are", "fruit"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "out of memory: Unable to allocate 8.66 GiB for an array\n")
+
 
 class TestVectors:
     def test_hand_counted_rows(self, capsys, tmp_path):
@@ -167,6 +207,23 @@ class TestVerifyAndDemo:
 
     def test_verify_oracle_small(self, capsys):
         assert main(["verify", "oracle", "--max-len", "5"]) == 0
+
+    def test_verify_contract(self, capsys):
+        assert main(["verify", "contract", "--seed", "3",
+                     "--samples", "20"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 5 and "(20 seeded lexicons)" in out
+
+    def test_verify_contract_catches_a_wrong_fold(self, capsys, monkeypatch):
+        real = linalg.contract_states
+
+        def off_by_one(states, plan):
+            t = real(states, plan)
+            return Tensor(t.spaces, t.array + (len(plan.pairs) > 1))
+
+        monkeypatch.setattr("gramsem.oracle.contract_states", off_by_one)
+        assert main(["verify", "contract", "--samples", "20"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_demo_self_checks(self, capsys):
         assert main(["demo"]) == 0

@@ -201,6 +201,20 @@ class TestPersistence:
                 load_lexicon(path)
             assert err.value.path == expected_path, expected_path
 
+    @pytest.mark.parametrize("literal",
+                             ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    def test_non_finite_data_names_the_field(self, tmp_path, literal):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"spaces": {"n": {"dim": 2}}, "entries": ['
+            '{"word": "ok", "type": "n", "tensor": {"dims": [2], "data": [1, 2]}},'
+            '{"word": "w", "type": "n", "tensor": {"dims": [2], "data": [1, '
+            + literal + ']}}]}', encoding="utf-8")
+        with pytest.raises(LexiconFormatError,
+                           match="must be a list of finite numbers") as err:
+            load_lexicon(path)
+        assert err.value.path == "entries[1].tensor.data"
+
     def test_save_is_deterministic(self, toy_lexicon, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_lexicon(toy_lexicon, p1)

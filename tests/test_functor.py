@@ -1,8 +1,14 @@
 """Grammar-to-tensor lifting and the sentence-meaning pipeline."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gramsem.corpus import Lexicon
 from gramsem.functor import (FunctorAssignment, NoParseError,
                              UnassignedTypeError, UnknownWordError,
                              assign_space, check_strong_monoidal,
@@ -10,6 +16,7 @@ from gramsem.functor import (FunctorAssignment, NoParseError,
                              lift_reduction, preller_obstruction,
                              sentence_meaning, spaces_of)
 from gramsem.linalg import Tensor, VectorSpace, contract, tensor_product
+from gramsem.oracle import contraction_disagreement
 from gramsem.pregroup import (CompoundType, Cup, ReductionDiagram, SimpleType,
                               parse_type_expr)
 
@@ -146,6 +153,102 @@ class TestAmbiguity:
         first = sentence_meaning(words, ambiguous_lexicon, assignment, 0)
         second = sentence_meaning(words, ambiguous_lexicon, assignment, 1)
         assert first.meaning != second.meaning
+
+
+class TestLongSentences:
+    """Sentences with more simples than einsum has letters (52)."""
+
+    def test_fifty_three_simples(self):
+        lex = Lexicon({"n": VectorSpace("n", 2), "s": S})
+        lex.add("tom", "n", [1, 2])
+        lex.add("chases", "n^r s n^l", [3, 0, 1, 5])
+        lex.add("jerry", "n", [4, 1])
+        lex.add("surely", "s^r s", [2])
+        words = "tom chases jerry".split() + ["surely"] * 24
+        a = sentence_meaning(words, lex, lex.functor_assignment())
+        assert len(a.concat_type) == 53
+        # tom . chases . jerry = 1*(3*4 + 0*1) + 2*(1*4 + 5*1) = 30
+        assert a.meaning.dims == (1,) and a.meaning.item() == 30 * 2 ** 24
+
+    def test_sixty_adjectives_and_a_noun(self):
+        # 121 simples and 61 distinct wires: 60 cups plus the free noun wire
+        n = VectorSpace("n", 2)
+        lex = Lexicon({"n": n})
+        lex.add("big", "n n^l", [[1, 1], [0, 1]])
+        lex.add("odd", "n n^l", [[0, 1], [1, 0]])
+        lex.add("cat", "n", [1, 2])
+        words = ["big", "odd"] * 30 + ["cat"]
+        a = sentence_meaning(words, lex, lex.functor_assignment(), target="n")
+        assert len(a.concat_type) == 121 and len(a.chosen.cups) == 60
+        # big @ odd is the Fibonacci matrix [[F2, F1], [F1, F0]], so the
+        # meaning is [[F31, F30], [F30, F29]] @ [1, 2]
+        assert a.meaning.flat == [1346269 + 2 * 832040, 832040 + 2 * 514229]
+
+
+class TestScaling:
+    WORDS = ["moths", "saw", "men"] + ["with", "telescopes"] * 4
+
+    def test_four_attachments_without_the_full_product(self,
+                                                       ambiguous_lexicon):
+        # the first reading combination's full product has 3^20 elements
+        # (28 GB of float64)
+        assignment = ambiguous_lexicon.functor_assignment()
+        start = time.perf_counter()
+        analyses = enumerate_analyses(self.WORDS, ambiguous_lexicon, assignment)
+        elapsed = time.perf_counter() - start
+        assert len(analyses) == 42
+        assert elapsed < 1.0, f"took {elapsed:.3f}s"
+        readings = [ambiguous_lexicon.entries_for(w) for w in self.WORDS]
+        keys = [(tuple(r.index(e) for r, e in zip(readings, a.words)),
+                 a.chosen.sorted_cups) for a in analyses]
+        assert keys == sorted(set(keys))
+        for a in analyses:
+            label = list(range(len(a.concat_type)))
+            for i, j in a.chosen.sorted_cups:
+                label[j] = i
+            matched = {p for cup in a.chosen.sorted_cups for p in cup}
+            operands, start = [], 0
+            for e in a.words:
+                operands += [e.state.array, label[start:start + e.state.rank]]
+                start += e.state.rank
+            free = [p for p in range(len(label)) if p not in matched]
+            want = np.einsum(*operands, free, optimize="greedy")
+            assert a.meaning.dims == want.shape
+            assert np.array_equal(a.meaning.array, want)
+
+    def test_peak_memory(self, ambiguous_lexicon):
+        assignment = ambiguous_lexicon.functor_assignment()
+        tracemalloc.start()
+        try:
+            enumerate_analyses(self.WORDS, ambiguous_lexicon, assignment)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pipeline_agrees_with_brute_force(data):
+    """Random lexicons (dims 1..3, integer data 0..3, up to 5 words with
+    one or two readings, at most 7 simples per reading combination): every
+    reading combination and every valid matching contracts exactly as the
+    brute-force oracle does."""
+    dims = {b: data.draw(st.integers(1, 3), label=f"dim {b}") for b in "ab"}
+    lexicon = Lexicon({b: VectorSpace(b, d) for b, d in dims.items()})
+    simple = st.sampled_from([b + z for b in "ab" for z in ("", "^l", "^r")])
+    length = data.draw(st.integers(1, 5), label="words")
+    budget = 7
+    for k in range(length):
+        longest = data.draw(st.integers(0, min(3, budget)))
+        budget -= longest
+        for _ in range(data.draw(st.integers(1, 2))):
+            simples = data.draw(st.lists(simple, max_size=longest))
+            size = int(np.prod([dims[x[0]] for x in simples]))
+            lexicon.add(f"w{k}", " ".join(simples), data.draw(
+                st.lists(st.integers(0, 3), min_size=size, max_size=size)))
+    words = [f"w{k}" for k in range(length)]
+    assert contraction_disagreement(lexicon, words) is None
 
 
 class TestPrellerObstruction:

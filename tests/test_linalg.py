@@ -140,6 +140,19 @@ class TestContract:
         with pytest.raises(ValueError, match="plan expects"):
             contract(t, plan)
 
+    def test_rank_sixty_with_29_cups(self):
+        # more indices than einsum has letters: positions 0 and 59 stay
+        # free, cups (1, 2), (3, 4), ..., (57, 58); (1, 2) has dim 2
+        two, one = VectorSpace("two", 2), VectorSpace("one", 1)
+        spaces = (two, two, two) + (one,) * 56 + (two,)
+        data = np.arange(16.0)
+        plan = ContractionPlan(
+            spaces, frozenset((2 * k + 1, 2 * k + 2) for k in range(29)))
+        out = contract(Tensor(spaces, data), plan)
+        assert out.spaces == (two, two)
+        assert out.array.tolist() == np.einsum(
+            "ikkj->ij", data.reshape(2, 2, 2, 2)).tolist()
+
     def test_one_sided_yanking_on_states(self):
         rng = np.random.default_rng(7)
         for dims in [(3,), (2, 3), (4, 2, 3)]:
