@@ -16,9 +16,9 @@ from .corpus import (ContextConfig, CooccurrenceCounts, Lexicon,
                      save_lexicon, tokenize)
 from .functor import (FunctorAssignment, LexiconEntry, NoParseError,
                       PrellerWitness, SentenceAnalysis, UnassignedTypeError,
-                      UnknownWordError, assign_space, check_strong_monoidal,
-                      enumerate_analyses, identity_verb, lift_reduction,
-                      preller_obstruction, sentence_meaning, spaces_of)
+                      UnknownWordError, assign_space, enumerate_analyses,
+                      identity_verb, lift_reduction, preller_obstruction,
+                      sentence_meaning, spaces_of)
 from .linalg import (ContractionPlan, Tensor, VectorSpace, apply_epsilon,
                      contract, make_eta, process_to_state, scalar,
                      state_to_process, tensor_product, yanking_check)

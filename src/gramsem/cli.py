@@ -316,7 +316,8 @@ def cmd_verify(args) -> int:
                     CompoundType(rng.choice(alphabet) for _ in range(length))
                     for _ in range(samples)]
                 label = f"oracle len={length} ({len(sources)} seeded sources)"
-            rows.append((label, _oracle_agrees(sources)))
+            rows.append((label, all(oracle.reduction_disagreement(s) is None
+                                    for s in sources)))
         return _report(rows)
 
     print(f"unknown suite {args.suite!r}", file=sys.stderr)
@@ -331,37 +332,15 @@ def _all_sources(alphabet, length):
     return sources
 
 
-def _oracle_agrees(sources) -> bool:
-    """Group brute-force matchings by residual and compare each group with
-    the search path; also probe one unreachable target."""
-    impossible = CompoundType((SimpleType(BasicType("q"), 0),))
-    for source in sources:
-        groups: dict[CompoundType, list] = {}
-        for pairs in oracle.all_partial_matchings(len(source)):
-            if not oracle.matching_is_valid(source, pairs):
-                continue
-            matched = {p for pr in pairs for p in pr}
-            residual = CompoundType(
-                t for p, t in enumerate(source) if p not in matched)
-            groups.setdefault(residual, []).append(pairs)
-        for residual, expected in groups.items():
-            got = [d.sorted_cups for d in enumerate_reductions(source, residual)]
-            if got != sorted(expected):
-                return False
-        if enumerate_reductions(source, impossible):
-            return False
-    return True
-
-
 def cmd_demo(args) -> int:
     lexicon = load_lexicon(default_lexicon_path())
-    assignment = lexicon.functor_assignment()
-    words = ["bananas", "are", "fruit"]
+    analyses = enumerate_analyses(["bananas", "are", "fruit"], lexicon,
+                                  lexicon.functor_assignment())
+    a = analyses[0]
     print("A worked example: the meaning of 'bananas are fruit'\n")
 
     print("step 1 - grammar types from the lexicon:")
-    entries = [lexicon.entries_for(w)[0] for w in words]
-    for e in entries:
+    for e in a.words:
         print(f"  {e.word:8s} :: {e.gtype}")
 
     print("\nstep 2 - spaces assigned to the basic types:")
@@ -370,19 +349,14 @@ def cmd_demo(args) -> int:
         print(f"  {name} -> dim {space.dim}{basis}")
 
     print("\nstep 3 - word states:")
-    for e in entries:
+    for e in a.words:
         print(f"  {e.word:8s} dims {list(e.state.dims)} data {e.state.flat}")
 
-    concat = CompoundType()
-    for e in entries:
-        concat = concat + e.gtype
-    diagrams = enumerate_reductions(concat, parse_type_expr("s"))
-    print(f"\nstep 4 - type reductions of '{concat}' to 's': "
-          f"{len(diagrams)} found")
-    print(render_reduction(diagrams[0]))
+    print(f"\nstep 4 - type reductions of '{a.concat_type}' to 's': "
+          f"{len(analyses)} found")
+    print(render_reduction(a.chosen))
 
-    analysis = sentence_meaning(words, lexicon, assignment)
-    value = analysis.meaning.item()
+    value = a.meaning.item()
     print(f"\nstep 5 - contract the word states along the cups: {value:g}")
     if value != 1074.0:
         print("self-check FAILED: expected 1074", file=sys.stderr)

@@ -16,8 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import (ContractionPlan, Tensor, VectorSpace, contract,
-                     contract_states, tensor_product)
+from .linalg import ContractionPlan, Tensor, VectorSpace, contract_states
 from .pregroup import (CompoundType, ReductionDiagram, SimpleType,
                        enumerate_reductions, parse_type_expr)
 
@@ -31,7 +30,6 @@ __all__ = [
     "assign_space",
     "spaces_of",
     "lift_reduction",
-    "check_strong_monoidal",
     "identity_verb",
     "enumerate_analyses",
     "sentence_meaning",
@@ -97,15 +95,6 @@ def lift_reduction(assignment: FunctorAssignment,
     counits turn into index sums, identity wires into free indices."""
     return ContractionPlan(spaces_of(assignment, d.source),
                            frozenset(c.as_pair() for c in d.cups))
-
-
-def check_strong_monoidal(assignment: FunctorAssignment, samples) -> bool:
-    """Product of types maps to concatenated space lists, checked on the
-    given (a, b) pairs."""
-    for a, b in samples:
-        if spaces_of(assignment, a + b) != spaces_of(assignment, a) + spaces_of(assignment, b):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -247,19 +236,12 @@ def preller_obstruction(dim: int) -> PrellerWitness:
         raise ValueError(f"dim must be >= 1, got {dim}")
     space = VectorSpace("a", dim)
     eta = Tensor((space, space), np.eye(dim))
-    plan = ContractionPlan((space,) * 3, frozenset({(0, 1)}))
     size = dim ** 3
-    lifted = np.empty((size, size))
-    col = 0
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                basis = np.zeros((dim, dim, dim))
-                basis[a, b, c] = 1.0
-                bent = contract(Tensor((space,) * 3, basis), plan)
-                image = tensor_product(bent, eta)
-                lifted[:, col] = image.array.reshape(-1)
-                col += 1
+    # every basis state of A (x) A (x) A at once: three spare wires naming
+    # the column, then the three wires the composite acts on
+    inputs = Tensor((space,) * 6, np.eye(size))
+    plan = ContractionPlan((space,) * 8, frozenset({(3, 4)}))
+    lifted = contract_states((inputs, eta), plan).array.reshape(size, size).T
     is_identity = bool(np.array_equal(lifted, np.eye(size)))
     witness = None
     if dim >= 2:

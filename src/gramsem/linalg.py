@@ -230,23 +230,20 @@ def contract_states(states, plan: ContractionPlan) -> Tensor:
 def yanking_check(dim: int, tol: float = 0.0) -> bool:
     """Verify both snake composites act as the identity on V.
 
-    One bends the wire to the right (state (x) eta, counit on the first
-    two slots), the other to the left (eta (x) state, counit on the last
-    two).  Each composite is assembled column by column from basis states
-    and compared to the identity matrix entrywise within ``tol``.
+    One bends the wire to the right (state (x) eta, counit on the state
+    and eta's first slot), the other to the left (eta (x) state, counit on
+    eta's second slot and the state).  Each composite is lifted in one
+    contraction whose input state is the identity matrix, every basis
+    state at once: its spare wire stays on the outside, left for the right
+    bend and right for the left bend, so each result is the composite's
+    matrix.  Both are compared to the identity entrywise within ``tol``.
     """
     space = VectorSpace("v", dim)
     eta = make_eta(space)
-    right_bend = np.empty((dim, dim))
-    left_bend = np.empty((dim, dim))
-    for a in range(dim):
-        basis = Tensor((space,), np.eye(dim)[a])
-        out = contract(tensor_product(basis, eta),
-                       ContractionPlan((space,) * 3, frozenset({(0, 1)})))
-        right_bend[:, a] = out.array
-        out = contract(tensor_product(eta, basis),
-                       ContractionPlan((space,) * 3, frozenset({(1, 2)})))
-        left_bend[:, a] = out.array
+    inputs = Tensor((space, space), np.eye(dim))
+    plan = ContractionPlan((space,) * 4, frozenset({(1, 2)}))
+    right_bend = contract_states((inputs, eta), plan).array
+    left_bend = contract_states((eta, inputs), plan).array
     eye = np.eye(dim)
     return (np.max(np.abs(right_bend - eye)) <= tol
             and np.max(np.abs(left_bend - eye)) <= tol)

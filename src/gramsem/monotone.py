@@ -2,8 +2,10 @@
 
 A map ``f`` in this pregroup has a left dual ``min {m : n <= f(m)}`` and a
 right dual ``max {m : f(m) <= n}``, each forming a Galois connection with
-``f``.  Duals are computed by exponential bracketing followed by binary
-search, since the maps are given as callables rather than tables.
+``f``.  The left dual is computed by exponential bracketing followed by
+binary search, since the maps are given as callables rather than tables;
+on the integers ``max {m : f(m) <= n} = min {m : f(m) >= n + 1} - 1``, so
+the right dual is ``f^l(n + 1) - 1``.
 """
 
 from __future__ import annotations
@@ -113,40 +115,14 @@ def monotone_left_dual(f: MonotoneMap, n: int) -> int:
 
 
 def monotone_right_dual(f: MonotoneMap, n: int) -> int:
-    """``f^r(n) = max {m : f(m) <= n}``.
+    """``f^r(n) = max {m : f(m) <= n}``, which on the integers is
+    ``min {m : f(m) >= n + 1} - 1 = f^l(n + 1) - 1``.
 
     >>> double = MonotoneMap(lambda m: 2 * m, name="double")
     >>> monotone_right_dual(double, 4), monotone_right_dual(double, 5)
     (2, 2)
     """
-    # mirror of the left dual: f(lo) <= n < f(hi), answer is lo
-    if f(0) <= n:
-        lo, step = 0, 1
-        while True:
-            hi = step
-            if f(hi) > n:
-                break
-            if step > f.radius:
-                raise SearchRadiusError(
-                    f"no m with f(m) > {n} within radius {f.radius}")
-            lo, step = hi, step * 2
-    else:
-        hi, step = 0, 1
-        while True:
-            lo = -step
-            if f(lo) <= n:
-                break
-            if step > f.radius:
-                raise SearchRadiusError(
-                    f"no m with f(m) <= {n} within radius {f.radius}")
-            hi, step = lo, step * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f(mid) <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return monotone_left_dual(f, n + 1) - 1
 
 
 def galois_check(f: MonotoneMap, window: tuple[int, int]) -> bool:

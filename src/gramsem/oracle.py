@@ -5,9 +5,10 @@ enumerating *all* partial matchings of wire positions and filtering them
 against the validity rules written out verbatim, and meanings are evaluated
 by looping over every index assignment of the word-state product.  None
 of these references calls the search code in :mod:`gramsem.pregroup` or
-the einsum path in :mod:`gramsem.linalg`; only
-:func:`contraction_disagreement`, which compares them with those fast
-paths, does.
+the einsum path in :mod:`gramsem.linalg`; only the two comparison
+functions do: :func:`reduction_disagreement` checks the reduction search
+against the matchings, and :func:`contraction_disagreement` checks the
+contraction engine and the meaning pipeline against the index sums.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from itertools import product
 
 from .functor import enumerate_analyses, lift_reduction
 from .linalg import contract_states
-from .pregroup import CompoundType, ReductionDiagram
+from .pregroup import (BasicType, CompoundType, ReductionDiagram, SimpleType,
+                       enumerate_reductions)
 
 __all__ = [
     "all_partial_matchings",
     "matching_is_valid",
-    "brute_force_reductions",
     "brute_force_contract",
+    "reduction_disagreement",
     "contraction_disagreement",
 ]
 
@@ -75,22 +77,6 @@ def matching_is_valid(source: CompoundType, pairs) -> bool:
     return True
 
 
-def brute_force_reductions(source: CompoundType,
-                           target: CompoundType) -> list[tuple[tuple[int, int], ...]]:
-    """All valid cup sets reducing ``source`` to ``target``, sorted."""
-    n = len(source)
-    found = []
-    for pairs in all_partial_matchings(n):
-        if not matching_is_valid(source, pairs):
-            continue
-        matched = {p for pr in pairs for p in pr}
-        residual = CompoundType(
-            t for p, t in enumerate(source) if p not in matched)
-        if residual == target:
-            found.append(pairs)
-    return sorted(found)
-
-
 def brute_force_contract(arrays, pairs):
     """Contract an ordered list of numpy arrays (one per word state) over
     the given global index pairs by summing explicit index assignments.
@@ -122,6 +108,30 @@ def brute_force_contract(arrays, pairs):
             offset = offset * dims[p] + assign[p]
         out[offset] += term
     return out_shape, out
+
+
+def reduction_disagreement(source: CompoundType) -> str | None:
+    """Compare :func:`gramsem.pregroup.enumerate_reductions` with every
+    valid matching of ``source``, grouped by residual: each residual, and
+    the target ``q`` (unreachable unless ``source`` holds a ``q``), must
+    get exactly its matchings, in canonical order.
+
+    Returns a description of the first disagreement, or ``None``.
+    """
+    groups: dict[CompoundType, list] = {}
+    for pairs in all_partial_matchings(len(source)):
+        if matching_is_valid(source, pairs):
+            matched = {p for pr in pairs for p in pr}
+            residual = CompoundType(
+                t for p, t in enumerate(source) if p not in matched)
+            groups.setdefault(residual, []).append(pairs)
+    groups.setdefault(CompoundType((SimpleType(BasicType("q")),)), [])
+    for target, expected in groups.items():
+        got = [d.sorted_cups for d in enumerate_reductions(source, target)]
+        if got != sorted(expected):
+            return (f"enumerate_reductions from {source} to {target or '1'}: "
+                    f"{got}, expected {sorted(expected)}")
+    return None
 
 
 def contraction_disagreement(lexicon, words) -> str | None:

@@ -23,7 +23,7 @@ from gramsem.linalg import (Tensor, VectorSpace, make_eta, process_to_state,
                             state_to_process, yanking_check)
 from gramsem.monotone import (MonotoneMap, galois_check, monotone_left_dual,
                               monotone_right_dual)
-from gramsem.oracle import all_partial_matchings, matching_is_valid
+from gramsem.oracle import reduction_disagreement
 from gramsem.pregroup import (BasicType, CompoundType, SimpleType,
                               enumerate_reductions, parse_type_expr)
 
@@ -92,30 +92,17 @@ def test_c5_oracle_equivalence():
     alphabet = [SimpleType(b, z)
                 for b in (BasicType("a"), BasicType("b"))
                 for z in (-1, 0, 1)]
-    impossible = CompoundType((SimpleType(BasicType("q")),))
-
-    def check(source):
-        groups = {}
-        for pairs in all_partial_matchings(len(source)):
-            if matching_is_valid(source, pairs):
-                matched = {p for pr in pairs for p in pr}
-                residual = CompoundType(
-                    t for p, t in enumerate(source) if p not in matched)
-                groups.setdefault(residual, []).append(pairs)
-        for residual, expected in groups.items():
-            got = [d.sorted_cups for d in enumerate_reductions(source, residual)]
-            assert got == sorted(expected), str(source)
-        assert enumerate_reductions(source, impossible) == []
 
     for length in range(0, 6):
         for combo in itertools.product(alphabet, repeat=length):
-            check(CompoundType(combo))
+            assert reduction_disagreement(CompoundType(combo)) is None
 
     rng = random.Random(0)
     sampled = 0
     for length in (6, 7, 8):
         for _ in range(3500):
-            check(CompoundType(rng.choice(alphabet) for _ in range(length)))
+            source = CompoundType(rng.choice(alphabet) for _ in range(length))
+            assert reduction_disagreement(source) is None
             sampled += 1
     assert sampled >= 10 ** 4
     elapsed = time.perf_counter() - start

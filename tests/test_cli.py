@@ -5,11 +5,37 @@ import json
 import pytest
 
 from gramsem.cli import default_lexicon_path, main, render_reduction
-from gramsem import linalg
+from gramsem import linalg, pregroup
 from gramsem.linalg import Tensor, VectorSpace
+from gramsem.oracle import reduction_disagreement
 from gramsem.pregroup import Cup, ReductionDiagram, parse_type_expr
 
 AMBIG = default_lexicon_path().replace("toy_lexicon", "ambiguous_lexicon")
+
+DEMO_OUTPUT = """\
+A worked example: the meaning of 'bananas are fruit'
+
+step 1 - grammar types from the lexicon:
+  bananas  :: n
+  are      :: n^r s n^l
+  fruit    :: n
+
+step 2 - spaces assigned to the basic types:
+  n -> dim 3 basis=['sweet', 'green', 'furry']
+  s -> dim 1
+
+step 3 - word states:
+  bananas  dims [3] data [21.0, 9.0, 0.0]
+  are      dims [3, 1, 3] data [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+  fruit    dims [3] data [43.0, 19.0, 0.0]
+
+step 4 - type reductions of 'n n^r s n^l n' to 's': 1 found
+n n^r s n^l n
+|__|  |  |__|
+
+step 5 - contract the word states along the cups: 1074
+self-check passed: 21*43 + 9*19 + 0*0 = 1074
+"""
 
 
 class TestReduce:
@@ -225,10 +251,24 @@ class TestVerifyAndDemo:
         assert main(["verify", "contract", "--samples", "20"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fault", ["drops the last", "reaches q"])
+    def test_verify_oracle_catches_a_wrong_search(self, capsys, monkeypatch,
+                                                  fault):
+        real = pregroup.enumerate_reductions
+
+        def wrong(source, target):
+            if fault == "drops the last":
+                return real(source, target)[:-1]
+            return real(source, source if str(target) == "q" else target)
+
+        monkeypatch.setattr("gramsem.oracle.enumerate_reductions", wrong)
+        assert reduction_disagreement(parse_type_expr("n n^r s n^l n"))
+        assert main(["verify", "oracle", "--max-len", "4"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
     def test_demo_self_checks(self, capsys):
         assert main(["demo"]) == 0
-        out = capsys.readouterr().out
-        assert "step 5" in out and "1074" in out
+        assert capsys.readouterr().out == DEMO_OUTPUT
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:

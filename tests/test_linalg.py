@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramsem import linalg
 from gramsem.linalg import (ContractionPlan, Tensor, VectorSpace,
                             apply_epsilon, contract, make_eta,
                             process_to_state, scalar, state_to_process,
@@ -169,6 +170,16 @@ class TestYanking:
     @pytest.mark.parametrize("dim", list(range(1, 17)))
     def test_snake_equations_exact(self, dim):
         assert yanking_check(dim, tol=0.0)
+
+    def test_catches_a_wrong_contraction(self, monkeypatch):
+        real = linalg.contract_states
+
+        def plus_one(states, plan):
+            t = real(states, plan)
+            return Tensor(t.spaces, t.array + 1)
+
+        monkeypatch.setattr("gramsem.linalg.contract_states", plus_one)
+        assert not yanking_check(2)
 
 
 class TestProcessStateDuality:

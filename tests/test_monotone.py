@@ -54,6 +54,8 @@ class TestValidation:
                              radius=2 ** 12)
         with pytest.raises(SearchRadiusError):
             monotone_left_dual(capped, 100)
+        with pytest.raises(SearchRadiusError):
+            monotone_right_dual(capped, 100)
 
     def test_empty_probe_window(self):
         with pytest.raises(ValueError):
