@@ -115,6 +115,18 @@ class TestSentenceMeaning:
             sentence_meaning(["bananas", "fruit"], toy_lexicon,
                              toy_lexicon.functor_assignment())
 
+    @pytest.mark.parametrize("words, error, match", [
+        (["bananas", "are", "fruit"], ValueError,
+         r"word 'bananas': state dims \(3,\) do not match assigned spaces"),
+        (["bananas", "bananas"], ValueError,
+         r"word 'bananas': state dims \(3,\) do not match assigned spaces"),
+    ])
+    def test_assignment_disagreeing_with_the_states(self, toy_lexicon, words,
+                                                    error, match):
+        narrow = FunctorAssignment({"n": VectorSpace("n", 2), "s": S})
+        with pytest.raises(error, match=match):
+            sentence_meaning(words, toy_lexicon, narrow)
+
     def test_parse_index_out_of_range(self, toy_lexicon):
         with pytest.raises(IndexError, match="1 parse"):
             sentence_meaning(["bananas", "are", "fruit"], toy_lexicon,
