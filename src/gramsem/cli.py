@@ -82,12 +82,23 @@ def _parse_expr_or_exit(text: str) -> CompoundType:
 
 
 def _parse_range(text: str) -> range:
-    """'3' -> range(3, 4); '1..8' -> range(1, 9)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    """'3' -> range(3, 4); '1..8' -> range(1, 9); an empty range is an
+    error, so a suite never passes by checking nothing."""
+    lo, dots, hi = text.partition("..")
+    values = range(int(lo), int(hi if dots else lo) + 1)
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    return values
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def cmd_reduce(args) -> int:
@@ -148,13 +159,7 @@ def cmd_meaning(args) -> int:
         analysis = sentence_meaning(args.words, lexicon, assignment,
                                     parse_index=args.parse_index,
                                     target=target)
-    except UnknownWordError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
-    except NoParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
-    except IndexError as exc:
+    except (UnknownWordError, NoParseError, IndexError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN
     if args.json:
@@ -182,17 +187,7 @@ def cmd_vectors(args) -> int:
     except OSError as exc:
         print(f"cannot read context file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    if len(set(context_words)) != len(context_words):
-        print("duplicate context words in context file", file=sys.stderr)
-        return EXIT_USAGE
-    if not context_words:
-        print("context file is empty", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = ContextConfig(tuple(context_words), window=args.window)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    cfg = ContextConfig(tuple(context_words), window=args.window)
     try:
         with open(args.corpus, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -403,9 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", help="dimension range, e.g. 1..16")
     p.add_argument("--window", dest="window_range",
                    help="integer window, e.g. -100..100 (galois)")
-    p.add_argument("--max-len", type=int, default=8, dest="max_len",
+    p.add_argument("--max-len", type=_at_least(0), default=8,
+                   dest="max_len",
                    help="max compound type length (oracle)")
-    p.add_argument("--samples", type=int,
+    p.add_argument("--samples", type=_at_least(1),
                    help="seeded cases per row: sources per length above full "
                         "coverage (oracle, default 3500), lexicons per "
                         "sentence length (contract, default 100)")

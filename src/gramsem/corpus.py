@@ -4,19 +4,23 @@ A word's vector is its raw co-occurrence count against a chosen list of
 context words inside a symmetric token window.  No weighting or
 normalisation is applied.  Lexicons (word -> type + state) round-trip
 through a small JSON format, with one-dimensional exports as TSV.
+
+Each check on a lexicon has one owner.  :func:`load_lexicon` checks the
+file's schema and names the bad field; :meth:`Lexicon.add` maps the type
+to spaces through :func:`gramsem.functor.spaces_of` and rejects
+non-finite data, for files and programmatic input alike; the state's
+size is checked by :class:`gramsem.linalg.Tensor`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .functor import FunctorAssignment, LexiconEntry
+from .functor import (FunctorAssignment, LexiconEntry, UnassignedTypeError,
+                      spaces_of)
 from .linalg import Tensor, VectorSpace
 from .pregroup import CompoundType, parse_type_expr
 
@@ -125,13 +129,10 @@ def build_noun_vector(word: str, counts: CooccurrenceCounts,
                       cfg: ContextConfig,
                       space: VectorSpace | None = None) -> Tensor:
     """The word's count vector over the context words; all zeros if the
-    word was never counted."""
+    word was never counted.  ``space`` needs one dim per context word."""
     if space is None:
         space = VectorSpace("n", len(cfg.context_words),
                             basis_labels=cfg.context_words)
-    if space.dim != len(cfg.context_words):
-        raise ValueError(
-            f"space dim {space.dim} != {len(cfg.context_words)} context words")
     data = [counts.get(word, i) for i in range(len(cfg.context_words))]
     return Tensor((space,), data)
 
@@ -165,17 +166,19 @@ class Lexicon:
         return FunctorAssignment(self.spaces)
 
     def add(self, word: str, gtype: CompoundType | str, data) -> LexiconEntry:
-        """Append a reading; the state spaces follow the type's simples."""
+        """Append a reading; the state spaces follow the type's simples.
+
+        Raises :class:`gramsem.functor.UnassignedTypeError` for a basic type
+        with no registered space, and ``ValueError`` for data of the wrong
+        size or with a NaN or infinite number in it.
+        """
         if isinstance(gtype, str):
             gtype = parse_type_expr(gtype)
-        spaces = []
-        for t in gtype:
-            if t.base.name not in self.spaces:
-                raise LexiconFormatError(
-                    f"entries[{word}]", f"basic type {t.base.name!r} has no "
-                    f"registered space")
-            spaces.append(self.spaces[t.base.name])
-        entry = LexiconEntry(word, gtype, Tensor(tuple(spaces), data))
+        state = Tensor(spaces_of(self.functor_assignment(), gtype), data)
+        # NaN fails every comparison, so this one rejects NaN and +-inf
+        if not abs(state.array).max() < float("inf"):
+            raise ValueError("data must be a list of finite numbers")
+        entry = LexiconEntry(word, gtype, state)
         self._entries.setdefault(word, []).append(entry)
         return entry
 
@@ -202,6 +205,10 @@ class Lexicon:
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise LexiconFormatError(path, message)
+
+
+def _is_positive_int(x) -> bool:
+    return type(x) is int and x >= 1  # bool is an int subclass
 
 
 def _format_number(x: float):
@@ -234,21 +241,13 @@ def save_lexicon(lexicon: Lexicon, path):
         fh.write("\n")
 
 
-def _finite_float(text: str):
-    value = float(text)
-    return value if math.isfinite(value) else text
-
-
 def load_lexicon(path) -> Lexicon:
     """Read and validate a lexicon file.  Schema violations raise
     :class:`LexiconFormatError` naming the offending field path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            # NaN, +-Infinity and overflowing floats such as 1e999 load
-            # as strings, so the number check below rejects them without
-            # another pass over the data
-            doc = json.load(fh, parse_constant=str, parse_float=_finite_float)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise LexiconFormatError("$", f"not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     _expect(isinstance(doc.get("spaces"), dict), "spaces",
@@ -260,21 +259,18 @@ def load_lexicon(path) -> Lexicon:
         where = f"spaces.{name}"
         _expect(isinstance(rec, dict), where, "must be an object")
         dim = rec.get("dim")
-        _expect(isinstance(dim, int) and dim >= 1, f"{where}.dim",
+        _expect(_is_positive_int(dim), f"{where}.dim",
                 "must be a positive integer")
         basis = rec.get("basis")
-        if basis is not None:
-            _expect(isinstance(basis, list)
-                    and all(isinstance(b, str) for b in basis),
-                    f"{where}.basis", "must be a list of strings")
-            _expect(len(basis) == dim, f"{where}.basis",
-                    f"has {len(basis)} labels for dim {dim}")
-            _expect(len(set(basis)) == len(basis), f"{where}.basis",
-                    "labels must be unique")
-            spaces[name] = VectorSpace(name, dim, tuple(basis))
-        else:
-            spaces[name] = VectorSpace(name, dim)
+        _expect(basis is None or isinstance(basis, list)
+                and all(isinstance(b, str) for b in basis),
+                f"{where}.basis", "must be a list of strings")
+        try:
+            spaces[name] = VectorSpace(name, dim, basis)
+        except ValueError as exc:
+            raise LexiconFormatError(f"{where}.basis", str(exc)) from exc
     lexicon = Lexicon(spaces)
+    assignment = lexicon.functor_assignment()
     for k, rec in enumerate(doc["entries"]):
         where = f"entries[{k}]"
         _expect(isinstance(rec, dict), where, "must be an object")
@@ -290,28 +286,27 @@ def load_lexicon(path) -> Lexicon:
         tensor = rec.get("tensor")
         _expect(isinstance(tensor, dict), f"{where}.tensor", "must be an object")
         dims = tensor.get("dims")
-        _expect(isinstance(dims, list)
-                and all(isinstance(d, int) and d >= 1 for d in dims),
+        _expect(isinstance(dims, list) and all(map(_is_positive_int, dims)),
                 f"{where}.tensor.dims", "must be a list of positive integers")
         data = tensor.get("data")
         _expect(isinstance(data, list)
                 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                         for x in data),
                 f"{where}.tensor.data", "must be a list of finite numbers")
-        expected_dims = []
-        for t in gtype:
-            _expect(t.base.name in spaces, f"{where}.type",
-                    f"word {word!r} uses basic type {t.base.name!r} with no "
-                    f"space record")
-            expected_dims.append(spaces[t.base.name].dim)
-        _expect(list(dims) == expected_dims, f"{where}.tensor.dims",
+        try:
+            expected_dims = [s.dim for s in spaces_of(assignment, gtype)]
+        except UnassignedTypeError as exc:
+            raise LexiconFormatError(
+                f"{where}.type", f"word {word!r} uses basic type {exc.name!r} "
+                f"with no space record") from exc
+        _expect(dims == expected_dims, f"{where}.tensor.dims",
                 f"word {word!r} declares dims {dims} but type "
                 f"{type_expr!r} needs {expected_dims}")
-        size = int(np.prod(dims)) if dims else 1
-        _expect(len(data) == size, f"{where}.tensor.data",
-                f"word {word!r} has {len(data)} entries, dims {dims} "
-                f"need {size}")
-        lexicon.add(word, gtype, data)
+        try:
+            lexicon.add(word, gtype, data)
+        except (ValueError, OverflowError) as exc:  # OverflowError: huge ints
+            raise LexiconFormatError(f"{where}.tensor.data",
+                                     f"word {word!r}: {exc}") from exc
     return lexicon
 
 

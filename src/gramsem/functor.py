@@ -7,6 +7,11 @@ sides gives the sentence-meaning pipeline: the word states' tensor
 product contracted along a chosen reduction.  It is evaluated word by
 word (:func:`gramsem.linalg.contract_states`), so the full product of the
 word states is never built; the residual tensor is read off at the end.
+
+:func:`spaces_of` is the only map from types to spaces; the lexicon uses
+it to give each state its spaces.  The assignment passed to the pipeline
+is checked against the word states once, where they are contracted: a
+plan whose spaces differ from the states' raises ``ValueError`` there.
 """
 
 from __future__ import annotations
@@ -86,7 +91,9 @@ def assign_space(assignment: FunctorAssignment, t: SimpleType) -> VectorSpace:
 def spaces_of(assignment: FunctorAssignment,
               ct: CompoundType) -> tuple[VectorSpace, ...]:
     """Image of a compound type: one space per simple, in order."""
-    return tuple(assign_space(assignment, t) for t in ct)
+    # a list, not a generator: this runs for every entry of a loaded
+    # lexicon, and a generator per call raised the load's peak RSS
+    return tuple([assign_space(assignment, t) for t in ct])
 
 
 def lift_reduction(assignment: FunctorAssignment,
@@ -124,16 +131,7 @@ class SentenceAnalysis:
     meaning: Tensor
 
 
-def _check_entry_spaces(entry: LexiconEntry, assignment: FunctorAssignment):
-    expected = tuple(s.dim for s in spaces_of(assignment, entry.gtype))
-    if entry.state.dims != expected:
-        raise ValueError(
-            f"word {entry.word!r}: state dims {entry.state.dims} do not "
-            f"match assigned spaces {expected}")
-
-
-def _parses(words, lexicon, assignment: FunctorAssignment,
-            target: CompoundType) -> list:
+def _parses(words, lexicon, target: CompoundType) -> list:
     """Every (readings, concatenated type, reduction) triple, uncontracted,
     in the order of :func:`enumerate_analyses`."""
     readings = []
@@ -141,8 +139,6 @@ def _parses(words, lexicon, assignment: FunctorAssignment,
         entries = lexicon.entries_for(w)
         if not entries:
             raise UnknownWordError(w)
-        for entry in entries:
-            _check_entry_spaces(entry, assignment)
         readings.append(entries)
     parses = []
     for combo in product(*readings):
@@ -166,13 +162,14 @@ def enumerate_analyses(words, lexicon, assignment: FunctorAssignment,
     fixed order: combinations vary in lexicon entry order (rightmost word
     fastest), reductions in canonical cup order within each combination.
 
-    Raises :class:`UnknownWordError` for a missing word.  An unparseable
-    sentence yields ``[]``.
+    Raises :class:`UnknownWordError` for a missing word, and
+    ``ValueError`` when ``assignment`` gives a parse other spaces than its
+    word states have.  An unparseable sentence yields ``[]``.
     """
     if isinstance(target, str):
         target = parse_type_expr(target)
     return [_analyse(*parse, assignment)
-            for parse in _parses(words, lexicon, assignment, target)]
+            for parse in _parses(words, lexicon, target)]
 
 
 def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
@@ -184,14 +181,16 @@ def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
     homonyms or several reductions expose every alternative there.  Every
     parse is counted but only the chosen one is contracted.
 
-    Raises :class:`UnknownWordError`, :class:`NoParseError`, or
-    :class:`IndexError` when the parse index exceeds the parse count.
+    Raises :class:`UnknownWordError`, :class:`NoParseError`,
+    :class:`IndexError` when the parse index exceeds the parse count, or
+    ``ValueError`` when ``assignment`` disagrees with the chosen parse's
+    word states.
     """
     if isinstance(target, str):
         target = parse_type_expr(target)
     if parse_index < 0:
         raise IndexError(f"parse_index must be >= 0, got {parse_index}")
-    parses = _parses(words, lexicon, assignment, target)
+    parses = _parses(words, lexicon, target)
     if not parses:
         raise NoParseError(
             f"no reduction from the types of {' '.join(words)!r} to "

@@ -8,6 +8,7 @@ reshape.  Data is row-major throughout (leftmost index slowest).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ class Tensor:
         spaces = tuple(spaces)
         shape = tuple(s.dim for s in spaces)
         arr = np.asarray(data, dtype=np.float64)
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         if arr.size != size:
             raise ValueError(
                 f"data has {arr.size} entries, spaces {shape} need {size}")

@@ -211,6 +211,15 @@ class TestVectors:
         contexts = tmp_path / "ctx.txt"
         contexts.write_text("a\na\n", encoding="utf-8")
         assert main(["vectors", str(corpus), "--contexts", str(contexts)]) == 2
+        assert capsys.readouterr().err == "duplicate context words: a\n"
+
+    def test_empty_contexts_exit_2(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b", encoding="utf-8")
+        contexts = tmp_path / "ctx.txt"
+        contexts.write_text("\n", encoding="utf-8")
+        assert main(["vectors", str(corpus), "--contexts", str(contexts)]) == 2
+        assert capsys.readouterr().err == "context_words must be nonempty\n"
 
     def test_missing_corpus_exits_1(self, capsys, tmp_path):
         contexts = tmp_path / "ctx.txt"
@@ -265,6 +274,23 @@ class TestVerifyAndDemo:
         assert reduction_disagreement(parse_type_expr("n n^r s n^l n"))
         assert main(["verify", "oracle", "--max-len", "4"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["contract", "--samples", "-1"], "--samples: must be >= 1, got -1"),
+        (["oracle", "--max-len", "-1"], "--max-len: must be >= 0, got -1"),
+        (["yanking", "--dims", "5..3"], "empty range '5..3'"),
+        (["galois", "--window=5..-5"], "empty range '5..-5'"),
+        (["oracle", "--max-len", "7", "--samples", "0"],
+         "--samples: must be >= 1, got 0"),
+    ])
+    def test_verify_refuses_to_check_nothing(self, capsys, argv, message):
+        try:
+            code = main(["verify", *argv])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     def test_demo_self_checks(self, capsys):
         assert main(["demo"]) == 0

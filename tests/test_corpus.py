@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from gramsem.corpus import (ContextConfig, Lexicon, LexiconFormatError,
                             build_noun_vector, count_cooccurrence,
                             export_vectors_tsv, load_lexicon, save_lexicon,
                             tokenize)
-from gramsem.linalg import VectorSpace
+from gramsem.functor import UnassignedTypeError
+from gramsem.linalg import Tensor, VectorSpace
 
 CFG = ContextConfig(("sweet", "green", "furry"), window=1)
 
@@ -193,10 +195,21 @@ class TestPersistence:
               "entries": [{"word": "w", "type": "q",
                            "tensor": {"dims": [1], "data": [1]}}]},
              "entries[0].type"),
+            ({"spaces": {"n": {"dim": True}}, "entries": []}, "spaces.n.dim"),
+            ({"spaces": {"n": {"dim": 1}},
+              "entries": [{"word": "w", "type": "n n",
+                           "tensor": {"dims": [True, 1], "data": [1]}}]},
+             "entries[0].tensor.dims"),
+            ({"spaces": {"n": {"dim": 1}},
+              "entries": [{"word": "w", "type": "n",
+                           "tensor": {"dims": [1], "data": [10 ** 400]}}]},
+             "entries[0].tensor.data"),
+            (b'{"spaces": {"\xff": {"dim": 1}}, "entries": []}', "$"),
         ]
         for doc, expected_path in cases:
             path = tmp_path / "case.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
+            path.write_bytes(doc if isinstance(doc, bytes)
+                             else json.dumps(doc).encode("utf-8"))
             with pytest.raises(LexiconFormatError) as err:
                 load_lexicon(path)
             assert err.value.path == expected_path, expected_path
@@ -214,6 +227,23 @@ class TestPersistence:
                            match="must be a list of finite numbers") as err:
             load_lexicon(path)
         assert err.value.path == "entries[1].tensor.data"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), float("1e999")])
+    def test_add_rejects_non_finite_data(self, value):
+        lex = Lexicon({"n": VectorSpace("n", 2)})
+        with pytest.raises(ValueError, match="finite numbers"):
+            lex.add("w", "n", [1, value])
+        assert "w" not in lex
+        # the check is on lexicon input, not on tensors: results may overflow
+        state = Tensor((VectorSpace("n", 2),), [1, value])
+        assert not math.isfinite(state.flat[1])
+
+    def test_add_needs_a_space_for_every_basic_type(self):
+        lex = Lexicon({"n": VectorSpace("n", 2)})
+        with pytest.raises(UnassignedTypeError, match="'s'"):
+            lex.add("w", "n^r s", [1, 2])
+        assert "w" not in lex
 
     def test_save_is_deterministic(self, toy_lexicon, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

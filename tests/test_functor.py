@@ -115,17 +115,21 @@ class TestSentenceMeaning:
             sentence_meaning(["bananas", "fruit"], toy_lexicon,
                              toy_lexicon.functor_assignment())
 
-    @pytest.mark.parametrize("words, error, match", [
-        (["bananas", "are", "fruit"], ValueError,
-         r"word 'bananas': state dims \(3,\) do not match assigned spaces"),
-        (["bananas", "bananas"], ValueError,
-         r"word 'bananas': state dims \(3,\) do not match assigned spaces"),
-    ])
-    def test_assignment_disagreeing_with_the_states(self, toy_lexicon, words,
-                                                    error, match):
-        narrow = FunctorAssignment({"n": VectorSpace("n", 2), "s": S})
+    @pytest.mark.parametrize("space, words, error, match", [
+        (VectorSpace("n", 2), ["bananas", "are", "fruit"], ValueError,
+         r"plan expects spaces \(n\(2\), n\(2\), s\(1\)"),
+        (VectorSpace("m", 3), ["bananas", "are", "fruit"], ValueError,
+         r"plan expects spaces \(m\(3\), m\(3\), s\(1\)"),
+        (VectorSpace("n", 2), ["bananas", "bananas"], NoParseError,
+         "no reduction"),
+    ], ids=["narrower", "relabelled", "no-parse"])
+    def test_assignment_disagreeing_with_the_states(self, toy_lexicon, space,
+                                                    words, error, match):
+        # the states are checked against the assignment where a parse is
+        # contracted, so a sentence with no parse is just unparseable
+        assignment = FunctorAssignment({"n": space, "s": S})
         with pytest.raises(error, match=match):
-            sentence_meaning(words, toy_lexicon, narrow)
+            sentence_meaning(words, toy_lexicon, assignment)
 
     def test_parse_index_out_of_range(self, toy_lexicon):
         with pytest.raises(IndexError, match="1 parse"):
