@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", default=default_lexicon_path(),
                    help="lexicon JSON path (default: bundled toy lexicon)")
     p.add_argument("--target", default="s", help="target type (default: s)")
-    p.add_argument("--parse-index", type=int, default=0, dest="parse_index",
+    p.add_argument("--parse-index", type=_at_least(0), default=0,
+                   dest="parse_index",
                    help="which parse to use when several exist")
     p.add_argument("--list-parses", action="store_true",
                    help="list every (reading, reduction) pair with meanings")

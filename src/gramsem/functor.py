@@ -131,23 +131,17 @@ class SentenceAnalysis:
     meaning: Tensor
 
 
-def _parses(words, lexicon, target: CompoundType) -> list:
-    """Every (readings, concatenated type, reduction) triple, uncontracted,
-    in the order of :func:`enumerate_analyses`."""
+def _combinations(words, lexicon):
+    """Every reading combination with its concatenated type, rightmost
+    word varying fastest."""
     readings = []
     for w in words:
         entries = lexicon.entries_for(w)
         if not entries:
             raise UnknownWordError(w)
         readings.append(entries)
-    parses = []
     for combo in product(*readings):
-        concat = CompoundType()
-        for entry in combo:
-            concat = concat + entry.gtype
-        parses.extend((combo, concat, d)
-                      for d in enumerate_reductions(concat, target))
-    return parses
+        yield combo, CompoundType([t for e in combo for t in e.gtype.simples])
 
 
 def _analyse(combo, concat, diagram, assignment) -> SentenceAnalysis:
@@ -168,8 +162,9 @@ def enumerate_analyses(words, lexicon, assignment: FunctorAssignment,
     """
     if isinstance(target, str):
         target = parse_type_expr(target)
-    return [_analyse(*parse, assignment)
-            for parse in _parses(words, lexicon, target)]
+    return [_analyse(combo, concat, d, assignment)
+            for combo, concat in _combinations(words, lexicon)
+            for d in enumerate_reductions(concat, target)]
 
 
 def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
@@ -178,8 +173,9 @@ def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
     """Meaning of a sentence under one chosen parse.
 
     ``parse_index`` picks from :func:`enumerate_analyses`; sentences with
-    homonyms or several reductions expose every alternative there.  Every
-    parse is counted but only the chosen one is contracted.
+    homonyms or several reductions expose every alternative there.  The
+    search stops at the chosen parse, the only one contracted; reading
+    combinations after it are never visited.
 
     Raises :class:`UnknownWordError`, :class:`NoParseError`,
     :class:`IndexError` when the parse index exceeds the parse count, or
@@ -190,16 +186,20 @@ def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
         target = parse_type_expr(target)
     if parse_index < 0:
         raise IndexError(f"parse_index must be >= 0, got {parse_index}")
-    parses = _parses(words, lexicon, target)
-    if not parses:
+    total = 0
+    for combo, concat in _combinations(words, lexicon):
+        rest = parse_index - total
+        found = enumerate_reductions(concat, target, limit=rest + 1)
+        if rest < len(found):
+            return _analyse(combo, concat, found[rest], assignment)
+        total += len(found)
+    if not total:
         raise NoParseError(
             f"no reduction from the types of {' '.join(words)!r} to "
             f"{str(target) or '1'!r}")
-    if parse_index >= len(parses):
-        raise IndexError(
-            f"parse_index {parse_index} out of range: sentence has "
-            f"{len(parses)} parse(s)")
-    return _analyse(*parses[parse_index], assignment)
+    raise IndexError(
+        f"parse_index {parse_index} out of range: sentence has "
+        f"{total} parse(s)")
 
 
 def identity_verb(noun_space: VectorSpace, sentence_space: VectorSpace) -> Tensor:

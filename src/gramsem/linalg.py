@@ -69,12 +69,13 @@ class Tensor:
     def __init__(self, spaces, data):
         spaces = tuple(spaces)
         shape = tuple(s.dim for s in spaces)
-        arr = np.asarray(data, dtype=np.float64)
+        # a C-ordered copy owned by this tensor, reshaped in place
+        arr = np.array(data, dtype=np.float64, order="C")
         size = math.prod(shape)
         if arr.size != size:
             raise ValueError(
                 f"data has {arr.size} entries, spaces {shape} need {size}")
-        arr = arr.reshape(shape).copy()
+        arr.shape = shape
         arr.setflags(write=False)
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "array", arr)

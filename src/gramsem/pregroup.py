@@ -4,7 +4,9 @@ Compound types are sequences of basic grammar types decorated with an
 integer adjoint exponent (``n^l`` is ``-1``, ``n^r`` is ``+1``, repeated
 letters iterate).  A reduction from one compound type to another is a set
 of non-crossing "cups", each cancelling an adjacent-after-inner-removal
-pair ``x . x^r`` or ``x^l . x``.
+pair ``x . x^r`` or ``x^l . x``.  The search first counts the reductions
+of each span (the counting semiring over cubic pregroup spans), then
+generates them in canonical order, entering no span that holds none.
 
 >>> src = parse_type_expr("n n^r s n^l n")
 >>> [d.sorted_cups for d in enumerate_reductions(src, parse_type_expr("s"))]
@@ -14,7 +16,9 @@ pair ``x . x^r`` or ``x^l . x``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -230,28 +234,35 @@ class ReductionDiagram:
         cups = frozenset(
             c if isinstance(c, Cup) else Cup(*c) for c in self.cups)
         object.__setattr__(self, "cups", cups)
-        n = len(self.source)
-        seen = set()
+        simples = self.source.simples
+        n = len(simples)
+        partner = {}
         for c in cups:
-            if c.right_pos >= n:
-                raise ValueError(f"cup {c.as_pair()} out of range for length {n}")
-            if c.left_pos in seen or c.right_pos in seen:
-                raise ValueError(f"cup positions overlap at {c.as_pair()}")
-            seen.update(c.as_pair())
-            if not can_contract(self.source[c.left_pos], self.source[c.right_pos]):
+            i, j = c.left_pos, c.right_pos
+            if j >= n:
+                raise ValueError(f"cup {(i, j)} out of range for length {n}")
+            if i in partner or j in partner:
+                raise ValueError(f"cup positions overlap at {(i, j)}")
+            partner[i], partner[j] = j, i
+            if not can_contract(simples[i], simples[j]):
                 raise ValueError(
-                    f"cup {c.as_pair()} is not a counit redex: "
-                    f"{self.source[c.left_pos]} . {self.source[c.right_pos]}")
-        pairs = sorted(c.as_pair() for c in cups)
-        for a, (i, j) in enumerate(pairs):
-            for k, l in pairs[a + 1:]:
-                if i < k < j < l:
-                    raise ValueError(f"cups ({i}, {j}) and ({k}, {l}) cross")
-        for i, j in pairs:
-            for p in range(i + 1, j):
-                if p not in seen:
+                    f"cup {(i, j)} is not a counit redex: "
+                    f"{simples[i]} . {simples[j]}")
+        # one pass left to right; ``around``: left ends of the cups over p
+        around = []
+        for p in range(n):
+            q = partner.get(p)
+            if q is None:
+                if around:
+                    raise ValueError(f"wire {p} is trapped under cup "
+                                     f"({around[-1]}, {partner[around[-1]]})")
+            elif q > p:
+                around.append(p)
+            else:
+                i = around.pop()
+                if i != q:
                     raise ValueError(
-                        f"wire {p} is trapped under cup ({i}, {j})")
+                        f"cups ({q}, {p}) and ({i}, {partner[i]}) cross")
 
     @property
     def sorted_cups(self) -> tuple[tuple[int, int], ...]:
@@ -280,8 +291,10 @@ def enumerate_reductions(source: CompoundType,
     """All planar reductions of ``source`` whose residual equals ``target``,
     sorted lexicographically by their sorted cup pairs.
 
-    The search is exhaustive; an unreducible pair yields ``[]``.  ``limit``
-    truncates the sorted list (it must be >= 1 when given).
+    The search is exhaustive; an unreducible pair yields ``[]``.  Memoised
+    span counts steer it past every branch that holds no reduction, and
+    reductions come out in that order, never sorted, so ``limit`` (>= 1
+    when given) costs ``limit`` paths plus the chart of counts.
 
     >>> one = enumerate_reductions(parse_type_expr("n n^l n"), parse_type_expr("n"))
     >>> [d.sorted_cups for d in one]
@@ -289,52 +302,87 @@ def enumerate_reductions(source: CompoundType,
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    n = len(source)
-    if (n - len(target)) % 2 != 0 or n < len(target):
+    n, m = len(source), len(target)
+    if (n - m) % 2 != 0 or n < m:
         return []
+    src = [(t.base.name, t.adjoint) for t in source]
+    tgt = [(t.base.name, t.adjoint) for t in target]
 
-    # Complete non-crossing matchings of the span [lo, hi]; memoised per span.
-    memo: dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], ...]] = {}
+    # Redex table: for each p, ascending, the q > p an odd distance away
+    # (so the wires between can pair off) that :func:`can_contract` with p.
+    at = {}
+    for q, (name, z) in enumerate(src):
+        at.setdefault((name, z, q % 2), []).append(q)
+    partners = []
+    for p, (name, z) in enumerate(src):
+        qs = at.get((name, z + 1, 1 - p % 2), [])
+        partners.append(qs[bisect_right(qs, p):])
 
-    def complete(lo: int, hi: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        if lo > hi:
-            return ((),)
-        key = (lo, hi)
-        if key in memo:
-            return memo[key]
-        out = []
-        # lo must be the left end of some cup; its interior is fully matched.
-        for q in range(lo + 1, hi + 1, 2):
-            if not can_contract(source[lo], source[q]):
-                continue
-            for inner in complete(lo + 1, q - 1):
-                for rest in complete(q + 1, hi):
-                    out.append(((lo, q),) + inner + rest)
-        memo[key] = tuple(out)
-        return memo[key]
+    closed_memo, suffix_memo = {}, {}  # keyed lo * (n + 1) + hi
 
-    results: list[tuple[tuple[int, int], ...]] = []
+    def closed(lo: int, hi: int) -> int:
+        """Number of complete matchings of ``src[lo:hi]``."""
+        if lo == hi:
+            return 1
+        key = lo * (n + 1) + hi
+        count = closed_memo.get(key)
+        if count is None:
+            count = 0
+            for q in partners[lo]:
+                if q >= hi:
+                    break
+                inner = closed(lo + 1, q)
+                count += inner and inner * closed(q + 1, hi)
+            closed_memo[key] = count
+        return count
 
-    def walk(pos: int, t_idx: int, acc: tuple[tuple[int, int], ...]):
-        if pos == n:
-            if t_idx == len(target):
-                results.append(acc)
+    def suffix(pos: int, t: int) -> int:
+        """Number of reductions of ``src[pos:]`` to ``tgt[t:]``."""
+        room = (n - pos) - (m - t)  # source simples left for cups
+        if room <= 0:
+            return int(room == 0 and src[pos:] == tgt[t:])
+        key = pos * (n + 1) + t
+        count = suffix_memo.get(key)
+        if count is None:
+            count = (suffix(pos + 1, t + 1)
+                     if t < m and src[pos] == tgt[t] else 0)
+            for q in partners[pos]:
+                inner = closed(pos + 1, q)
+                count += inner and inner * suffix(q + 1, t)
+            suffix_memo[key] = count
+        return count
+
+    cups: list[tuple[int, int]] = []
+
+    def span(lo: int, hi: int):
+        """Fill ``src[lo:hi]`` with cups, once per complete matching."""
+        if lo == hi:
+            yield
             return
-        # Residual wire: must match the next target simple exactly.
-        if t_idx < len(target) and source[pos] == target[t_idx]:
-            walk(pos + 1, t_idx + 1, acc)
-        # Or the left end of a top-level cup with fully matched interior.
-        for q in range(pos + 1, n, 2):
-            if not can_contract(source[pos], source[q]):
-                continue
-            for inner in complete(pos + 1, q - 1):
-                walk(q + 1, t_idx, acc + ((pos, q),) + inner)
+        for q in partners[lo]:
+            if q >= hi:
+                break
+            if closed(lo + 1, q) and closed(q + 1, hi):
+                cups.append((lo, q))
+                for _ in span(lo + 1, q):
+                    yield from span(q + 1, hi)
+                cups.pop()
 
-    walk(0, 0, ())
-    diagrams = [
-        ReductionDiagram(source, frozenset(Cup(i, j) for i, j in cups))
-        for cups in sorted(tuple(sorted(c)) for c in results)
-    ]
-    if limit is not None:
-        diagrams = diagrams[:limit]
-    return diagrams
+    def walk(pos: int, t: int):
+        """Yield ``cups`` plus each reduction of ``src[pos:]`` to ``tgt[t:]``;
+        a cup at ``pos`` sorts before leaving ``pos`` a residual wire."""
+        while n - pos > m - t:
+            for q in partners[pos]:
+                if closed(pos + 1, q) and suffix(q + 1, t):
+                    cups.append((pos, q))
+                    for _ in span(pos + 1, q):
+                        yield from walk(q + 1, t)
+                    cups.pop()
+            if not (t < m and src[pos] == tgt[t] and suffix(pos + 1, t + 1)):
+                return
+            pos, t = pos + 1, t + 1  # pos is a residual wire
+        if src[pos:] == tgt[t:]:  # no room for a cup: the rest is residual
+            yield tuple(cups)
+
+    return [ReductionDiagram(source, found)
+            for found in islice(walk(0, 0), limit)]

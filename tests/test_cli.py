@@ -142,6 +142,13 @@ class TestMeaning:
         assert main(["meaning", "bananas", "are", "fruit",
                      "--parse-index", "5"]) == 1
 
+    def test_negative_parse_index_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["meaning", "bananas", "are", "fruit", "--parse-index", "-1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be >= 0, got -1" in captured.err
+
     def test_noun_target(self, capsys):
         assert main(["meaning", "yellow", "banana", "--target", "n"]) == 0
         assert "[21.0, 9.0, 0.0]" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramsem import functor
 from gramsem.corpus import Lexicon
 from gramsem.functor import (FunctorAssignment, NoParseError,
                              UnassignedTypeError, UnknownWordError,
@@ -231,6 +232,28 @@ class TestScaling:
             want = np.einsum(*operands, free, optimize="greedy")
             assert a.meaning.dims == want.shape
             assert np.array_equal(a.meaning.array, want)
+
+    def test_each_parse_index_matches_the_analyses(self, ambiguous_lexicon,
+                                                   monkeypatch):
+        assignment = ambiguous_lexicon.functor_assignment()
+        analyses = enumerate_analyses(self.WORDS, ambiguous_lexicon, assignment)
+        for k, want in enumerate(analyses):
+            got = sentence_meaning(self.WORDS, ambiguous_lexicon, assignment,
+                                   parse_index=k)
+            assert got.words == want.words
+            assert got.chosen.sorted_cups == want.chosen.sorted_cups
+            assert got.meaning == want.meaning
+        with pytest.raises(IndexError, match="has 42 parse"):
+            sentence_meaning(self.WORDS, ambiguous_lexicon, assignment,
+                             parse_index=42)
+        # parse 0 lies in the first reading combination: one search, one path
+        limits = []
+        real = functor.enumerate_reductions
+        monkeypatch.setattr(functor, "enumerate_reductions",
+                            lambda *args, limit=None: limits.append(limit)
+                            or real(*args, limit=limit))
+        sentence_meaning(self.WORDS, ambiguous_lexicon, assignment)
+        assert limits == [1]
 
     def test_peak_memory(self, ambiguous_lexicon):
         assignment = ambiguous_lexicon.functor_assignment()

@@ -35,6 +35,19 @@ class TestSpacesAndTensors:
         with pytest.raises(ValueError):
             t.array[0] = 9
 
+    def test_tensor_owns_a_copy_of_its_data(self):
+        a, b = VectorSpace("a", 2), VectorSpace("b", 3)
+        source = np.arange(6.0)
+        transposed = np.arange(6.0).reshape(2, 3).T  # Fortran-ordered view
+        t = Tensor((a, b), source)
+        u = Tensor((b, a), transposed)
+        source[:] = -1
+        transposed[:] = -1
+        assert t.array.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert u.array.tolist() == [[0, 3], [1, 4], [2, 5]]
+        for x in (t, u, Tensor((a, b), [0, 1, 2, 3, 4, 5]), scalar(2)):
+            assert x.array.base is None and not x.array.flags.writeable
+
     def test_rank0_scalar(self):
         assert scalar(4.5).item() == 4.5
         assert scalar(1).dims == ()

@@ -1,6 +1,7 @@
 """Free pregroup types, the expression parser, and the reduction search."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,17 @@ class TestDiagramInvariants:
         with pytest.raises(ValueError, match="range"):
             ReductionDiagram(src, frozenset({Cup(0, 7)}))
 
+    def test_rejects_crossing_cups_given_in_any_order(self):
+        src = ct("n n^l n s n^r s^r")
+        with pytest.raises(ValueError, match=r"\(0, 4\) and \(3, 5\) cross"):
+            ReductionDiagram(src, ((3, 5), (1, 2), (0, 4)))
+
+    def test_rejects_wire_trapped_under_outer_cup(self):
+        src = ct("n s n^l n n^r")
+        with pytest.raises(ValueError,
+                           match=r"wire 1 is trapped under cup \(0, 4\)"):
+            ReductionDiagram(src, ((2, 3), (0, 4)))
+
     def test_residual(self):
         src = ct("n n^l n")
         d = ReductionDiagram(src, frozenset({Cup(1, 2)}))
@@ -166,6 +178,33 @@ class TestEnumerate:
         assert [d.sorted_cups for d in a] == [d.sorted_cups for d in b]
         assert [d.sorted_cups for d in a] == \
             sorted(d.sorted_cups for d in a)
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_limit_keeps_a_prefix(self, j):
+        src = ct("n n^r s n^l n" + " n^r n n^l n" * j)
+        full = enumerate_reductions(src, ct("s"))
+        assert len(full) == [1, 1, 2, 5, 14, 42][j]
+        for k in range(1, len(full) + 1):
+            assert enumerate_reductions(src, ct("s"), limit=k) == full[:k]
+
+    def test_limit_stops_early_on_a_long_chain(self):
+        # 6.6 * 10^9 reductions: only the chart of counts and one path
+        src = ct("n n^r s n^l n" + " n^r n n^l n" * 20)
+        start = time.perf_counter()
+        out = enumerate_reductions(src, ct("s"), limit=1)
+        elapsed = time.perf_counter() - start
+        assert len(out) == 1 and out[0].residual == ct("s")
+        assert elapsed < 1.0, f"took {elapsed:.3f}s"
+
+    def test_long_adjective_chain(self):
+        src = ct("n n^r s n^l" + " n n^l" * 498 + " n")
+        assert len(src) == 1001
+        start = time.perf_counter()
+        out = enumerate_reductions(src, ct("s"))
+        elapsed = time.perf_counter() - start
+        assert [d.sorted_cups for d in out] == \
+            [((0, 1),) + tuple((p, p + 1) for p in range(3, 1000, 2))]
+        assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
     @pytest.mark.parametrize("z", range(-2, 3))
     def test_yanking_rewrites_hold_per_exponent(self, z):
@@ -239,5 +278,8 @@ def test_enumeration_matches_oracle_and_replays(source):
     for residual, expected in groups.items():
         diagrams = enumerate_reductions(source, residual)
         assert [d.sorted_cups for d in diagrams] == sorted(expected)
+        for k in range(1, len(diagrams) + 1):
+            assert enumerate_reductions(source, residual, limit=k) == \
+                diagrams[:k]
         for d in diagrams:
             assert replay_innermost_first(d) == residual
