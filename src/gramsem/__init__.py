@@ -26,6 +26,6 @@ from .monotone import (MonotoneMap, SearchRadiusError, galois_check,
                        monotone_left_dual, monotone_right_dual)
 from .pregroup import (BasicType, CompoundType, Cup, ReductionDiagram,
                        SimpleType, TypeSyntaxError, adjoint_of, can_contract,
-                       enumerate_reductions, parse_type_expr, residual_of)
+                       enumerate_reductions, parse_type_expr)
 
 __version__ = "0.1.0"

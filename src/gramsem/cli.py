@@ -428,6 +428,10 @@ def main(argv=None) -> int:
         print(f"out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return EXIT_DOMAIN
+    except RecursionError:
+        print("input nested too deeply: the search ran out of stack",
+              file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

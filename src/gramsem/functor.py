@@ -100,8 +100,7 @@ def lift_reduction(assignment: FunctorAssignment,
                    d: ReductionDiagram) -> ContractionPlan:
     """A reduction diagram becomes the plan contracting its cup positions;
     counits turn into index sums, identity wires into free indices."""
-    return ContractionPlan(spaces_of(assignment, d.source),
-                           frozenset(c.as_pair() for c in d.cups))
+    return ContractionPlan(spaces_of(assignment, d.source), d.cups)
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ def contraction_disagreement(lexicon, words) -> str | None:
                        if matching_is_valid(concat, pairs))
         for pairs in valid:
             want = brute_force_contract(arrays, pairs)
-            diagram = ReductionDiagram(concat, frozenset(pairs))
+            diagram = ReductionDiagram(concat, pairs)
             got = contract_states([e.state for e in combo],
                                   lift_reduction(assignment, diagram))
             if (got.dims, got.flat) != want:

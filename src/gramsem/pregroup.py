@@ -2,11 +2,13 @@
 
 Compound types are sequences of basic grammar types decorated with an
 integer adjoint exponent (``n^l`` is ``-1``, ``n^r`` is ``+1``, repeated
-letters iterate).  A reduction from one compound type to another is a set
-of non-crossing "cups", each cancelling an adjacent-after-inner-removal
-pair ``x . x^r`` or ``x^l . x``.  The search first counts the reductions
-of each span (the counting semiring over cubic pregroup spans), then
-generates them in canonical order, entering no span that holds none.
+letters iterate).  A reduction from one compound type to another is a
+sorted tuple of non-crossing "cups", ``(i, j)`` position pairs, each
+cancelling an adjacent-after-inner-removal pair ``x . x^r`` or ``x^l . x``.
+The search keeps one memoised count, the reductions of each span of the
+source to a suffix of the target (the counting semiring over cubic
+pregroup spans), and one generator that follows it in canonical order,
+entering no span that holds none.
 
 >>> src = parse_type_expr("n n^r s n^l n")
 >>> [d.sorted_cups for d in enumerate_reductions(src, parse_type_expr("s"))]
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "BasicType",
@@ -32,7 +34,6 @@ __all__ = [
     "adjoint_of",
     "can_contract",
     "enumerate_reductions",
-    "residual_of",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -199,47 +200,38 @@ def parse_type_expr(text: str) -> CompoundType:
     return CompoundType(simples)
 
 
-@dataclass(frozen=True, order=True)
-class Cup:
+class Cup(NamedTuple):
     """One counit application pairing positions ``left_pos < right_pos``
-    of a compound type."""
+    of a compound type; it prints and compares as the pair ``(i, j)``."""
 
     left_pos: int
     right_pos: int
 
-    def __post_init__(self):
-        if not 0 <= self.left_pos < self.right_pos:
-            raise ValueError(
-                f"cup positions must satisfy 0 <= i < j, got "
-                f"({self.left_pos}, {self.right_pos})")
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.left_pos, self.right_pos)
+    __repr__ = tuple.__repr__
 
 
 @dataclass(frozen=True)
 class ReductionDiagram:
     """A planar set of cups over ``source`` witnessing a reduction to the
-    residual of unmatched wires.
+    residual of unmatched wires.  ``cups`` may be given as any iterable of
+    ``(i, j)`` pairs and is kept as their sorted tuple of :class:`Cup`.
 
-    Validity means: cups pairwise disjoint, non-crossing, every wire under
-    a cup is itself matched by a nested cup, and each cup is a counit
-    redex against ``source``.
+    Validity means: cups lie in range with ``i < j``, are pairwise
+    disjoint and non-crossing, every wire under a cup is itself matched by
+    a nested cup, and each cup is a counit redex against ``source``.
     """
 
     source: CompoundType
-    cups: frozenset[Cup] = field(default_factory=frozenset)
+    cups: tuple[Cup, ...] = ()
 
     def __post_init__(self):
-        cups = frozenset(
-            c if isinstance(c, Cup) else Cup(*c) for c in self.cups)
+        cups = tuple(sorted(map(Cup._make, self.cups)))
         object.__setattr__(self, "cups", cups)
         simples = self.source.simples
         n = len(simples)
         partner = {}
-        for c in cups:
-            i, j = c.left_pos, c.right_pos
-            if j >= n:
+        for i, j in cups:
+            if not 0 <= i < j < n:
                 raise ValueError(f"cup {(i, j)} out of range for length {n}")
             if i in partner or j in partner:
                 raise ValueError(f"cup positions overlap at {(i, j)}")
@@ -265,36 +257,34 @@ class ReductionDiagram:
                         f"cups ({q}, {p}) and ({i}, {partner[i]}) cross")
 
     @property
-    def sorted_cups(self) -> tuple[tuple[int, int], ...]:
-        """Cups as sorted (i, j) pairs; the canonical ordering key."""
-        return tuple(sorted(c.as_pair() for c in self.cups))
+    def sorted_cups(self) -> tuple[Cup, ...]:
+        """The cups, sorted at construction: the canonical ordering key."""
+        return self.cups
 
     @property
     def residual(self) -> CompoundType:
-        return residual_of(self)
+        """Unmatched positions of the source, in original order."""
+        matched = {p for c in self.cups for p in c}
+        return CompoundType(
+            t for p, t in enumerate(self.source) if p not in matched)
 
     def __str__(self):
-        cups = ", ".join(f"({i}, {j})" for i, j in self.sorted_cups) or "none"
+        cups = ", ".join(f"({i}, {j})" for i, j in self.cups) or "none"
         return f"{self.source} --[{cups}]--> {self.residual}"
-
-
-def residual_of(d: ReductionDiagram) -> CompoundType:
-    """Unmatched positions of the source, in original order."""
-    matched = {p for c in d.cups for p in c.as_pair()}
-    return CompoundType(
-        t for p, t in enumerate(d.source) if p not in matched)
 
 
 def enumerate_reductions(source: CompoundType,
                          target: CompoundType,
                          limit: int | None = None) -> list[ReductionDiagram]:
     """All planar reductions of ``source`` whose residual equals ``target``,
-    sorted lexicographically by their sorted cup pairs.
+    sorted lexicographically by their cups.
 
-    The search is exhaustive; an unreducible pair yields ``[]``.  Memoised
-    span counts steer it past every branch that holds no reduction, and
-    reductions come out in that order, never sorted, so ``limit`` (>= 1
-    when given) costs ``limit`` paths plus the chart of counts.
+    The search is exhaustive; an unreducible pair yields ``[]``.  One
+    memoised count gives the number of reductions of each span of
+    ``source`` to a suffix of ``target``, and one generator follows those
+    counts in the canonical order, entering no branch whose count is 0.
+    Reductions are never sorted, so ``limit`` (>= 1 when given) costs
+    ``limit`` paths plus the chart of counts.
 
     >>> one = enumerate_reductions(parse_type_expr("n n^l n"), parse_type_expr("n"))
     >>> [d.sorted_cups for d in one]
@@ -318,71 +308,53 @@ def enumerate_reductions(source: CompoundType,
         qs = at.get((name, z + 1, 1 - p % 2), [])
         partners.append(qs[bisect_right(qs, p):])
 
-    closed_memo, suffix_memo = {}, {}  # keyed lo * (n + 1) + hi
+    memo = {}  # one key per (lo, hi, t): lo * per_lo + hi * per_hi + t
+    per_hi = m + 1
+    per_lo = (n + 1) * per_hi
 
-    def closed(lo: int, hi: int) -> int:
-        """Number of complete matchings of ``src[lo:hi]``."""
+    def count(lo: int, hi: int, t: int) -> int:
+        """Number of reductions of ``src[lo:hi]`` to ``tgt[t:]``; a closed
+        span, all cups, is ``t == m``."""
         if lo == hi:
-            return 1
-        key = lo * (n + 1) + hi
-        count = closed_memo.get(key)
-        if count is None:
-            count = 0
+            return 1 if t == m else 0
+        key = lo * per_lo + hi * per_hi + t
+        total = memo.get(key)
+        if total is None:
+            total = 0
+            if t < m:  # lo may stay a residual wire
+                room = (hi - lo) - (m - t)  # source simples left for cups
+                if room <= 0:
+                    return int(room == 0 and src[lo:hi] == tgt[t:])
+                if src[lo] == tgt[t]:
+                    total = count(lo + 1, hi, t + 1)
             for q in partners[lo]:
                 if q >= hi:
                     break
-                inner = closed(lo + 1, q)
-                count += inner and inner * closed(q + 1, hi)
-            closed_memo[key] = count
-        return count
-
-    def suffix(pos: int, t: int) -> int:
-        """Number of reductions of ``src[pos:]`` to ``tgt[t:]``."""
-        room = (n - pos) - (m - t)  # source simples left for cups
-        if room <= 0:
-            return int(room == 0 and src[pos:] == tgt[t:])
-        key = pos * (n + 1) + t
-        count = suffix_memo.get(key)
-        if count is None:
-            count = (suffix(pos + 1, t + 1)
-                     if t < m and src[pos] == tgt[t] else 0)
-            for q in partners[pos]:
-                inner = closed(pos + 1, q)
-                count += inner and inner * suffix(q + 1, t)
-            suffix_memo[key] = count
-        return count
+                inner = count(lo + 1, q, m)
+                total += inner and inner * count(q + 1, hi, t)
+            memo[key] = total
+        return total
 
     cups: list[tuple[int, int]] = []
 
-    def span(lo: int, hi: int):
-        """Fill ``src[lo:hi]`` with cups, once per complete matching."""
-        if lo == hi:
-            yield
-            return
-        for q in partners[lo]:
-            if q >= hi:
-                break
-            if closed(lo + 1, q) and closed(q + 1, hi):
-                cups.append((lo, q))
-                for _ in span(lo + 1, q):
-                    yield from span(q + 1, hi)
-                cups.pop()
-
-    def walk(pos: int, t: int):
-        """Yield ``cups`` plus each reduction of ``src[pos:]`` to ``tgt[t:]``;
-        a cup at ``pos`` sorts before leaving ``pos`` a residual wire."""
-        while n - pos > m - t:
-            for q in partners[pos]:
-                if closed(pos + 1, q) and suffix(q + 1, t):
-                    cups.append((pos, q))
-                    for _ in span(pos + 1, q):
-                        yield from walk(q + 1, t)
+    def fill(lo: int, hi: int, t: int):
+        """Yield once per reduction of ``src[lo:hi]`` to ``tgt[t:]``, its
+        cups appended to ``cups``; a cup at ``lo`` sorts before leaving
+        ``lo`` a residual wire."""
+        while hi - lo > m - t:
+            for q in partners[lo]:
+                if q >= hi:
+                    break
+                if count(lo + 1, q, m) and count(q + 1, hi, t):
+                    cups.append((lo, q))
+                    for _ in fill(lo + 1, q, m):
+                        yield from fill(q + 1, hi, t)
                     cups.pop()
-            if not (t < m and src[pos] == tgt[t] and suffix(pos + 1, t + 1)):
+            if not (t < m and src[lo] == tgt[t] and count(lo + 1, hi, t + 1)):
                 return
-            pos, t = pos + 1, t + 1  # pos is a residual wire
-        if src[pos:] == tgt[t:]:  # no room for a cup: the rest is residual
-            yield tuple(cups)
+            lo, t = lo + 1, t + 1  # lo is a residual wire
+        if t == m or src[lo:hi] == tgt[t:]:  # no room for a cup: all residual
+            yield
 
-    return [ReductionDiagram(source, found)
-            for found in islice(walk(0, 0), limit)]
+    return [ReductionDiagram(source, cups)
+            for _ in islice(fill(0, n, 0), limit)]

@@ -1,6 +1,7 @@
 """Command-line behaviour: output shapes, exit codes, JSON round trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -73,6 +74,20 @@ class TestReduce:
         first = capsys.readouterr().out
         main(["reduce", "n n^l n n^l n", "n n^l n", "--json"])
         assert capsys.readouterr().out == first
+
+    def test_deep_nesting_exits_1_without_traceback(self, capsys):
+        nested = " ".join(["n^l"] * 300 + ["n"] * 300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            code = main(["reduce", nested, ""])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input nested too deeply: the search ran out of stack\n")
 
 
 class TestRenderReduction:

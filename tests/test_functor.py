@@ -104,7 +104,7 @@ class TestSentenceMeaning:
         a = sentence_meaning(["bananas"], toy_lexicon,
                              toy_lexicon.functor_assignment(), target="n")
         assert a.meaning.flat == [21, 9, 0]
-        assert a.chosen.cups == frozenset()
+        assert a.chosen.cups == ()
 
     def test_unknown_word_names_it(self, toy_lexicon):
         with pytest.raises(UnknownWordError, match="xylophone"):

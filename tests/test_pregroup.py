@@ -11,7 +11,7 @@ from gramsem.oracle import all_partial_matchings, matching_is_valid
 from gramsem.pregroup import (BasicType, CompoundType, Cup, ReductionDiagram,
                               SimpleType, TypeSyntaxError, adjoint_of,
                               can_contract, enumerate_reductions,
-                              parse_type_expr, residual_of)
+                              parse_type_expr)
 
 N = BasicType("n")
 S = BasicType("s")
@@ -97,10 +97,11 @@ class TestTypes:
 
 class TestDiagramInvariants:
     def test_cup_orientation(self):
-        with pytest.raises(ValueError):
-            Cup(3, 3)
-        with pytest.raises(ValueError):
-            Cup(4, 1)
+        src = ct("n n^r n^rr n n^r")
+        with pytest.raises(ValueError, match="range"):
+            ReductionDiagram(src, [(3, 3)])
+        with pytest.raises(ValueError, match="range"):
+            ReductionDiagram(src, [(4, 1)])
 
     def test_rejects_crossing(self):
         src = ct("n n n^r n^r")
@@ -138,8 +139,25 @@ class TestDiagramInvariants:
     def test_residual(self):
         src = ct("n n^l n")
         d = ReductionDiagram(src, frozenset({Cup(1, 2)}))
-        assert residual_of(d) == ct("n")
+        assert d.residual == ct("n")
         assert ReductionDiagram(src).residual == src
+
+    def test_value_semantics(self):
+        src = ct("n n^r s n^l n^l n n")
+        pairs = [(4, 5), (0, 1), (3, 6)]
+        forms = [pairs, set(pairs), tuple(reversed(pairs)),
+                 tuple(Cup(i, j) for i, j in pairs)]
+        diagrams = [ReductionDiagram(src, cups) for cups in forms]
+        assert all(d == diagrams[0] for d in diagrams)
+        assert len({hash(d) for d in diagrams}) == 1
+        d = diagrams[0]
+        assert d.cups == ((0, 1), (3, 6), (4, 5))
+        assert type(d.cups) is tuple
+        assert all(type(c) is Cup for c in d.cups)
+        assert d.cups[1].left_pos == 3 and d.cups[1].right_pos == 6
+        assert repr(d.sorted_cups) == "((0, 1), (3, 6), (4, 5))"
+        assert str(d) == "n n^r s n^l n^l n n --[(0, 1), (3, 6), (4, 5)]--> s"
+        assert enumerate_reductions(src, ct("s")) == [d]
 
 
 class TestEnumerate:
@@ -158,7 +176,7 @@ class TestEnumerate:
 
     def test_identity_reduction(self):
         out = enumerate_reductions(ct("n^r s"), ct("n^r s"))
-        assert len(out) == 1 and out[0].cups == frozenset()
+        assert len(out) == 1 and out[0].cups == ()
 
     def test_ambiguous_attachment_and_limit(self):
         # two cup sites for the same residual: attach either adjective slot
