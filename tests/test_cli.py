@@ -38,6 +38,97 @@ step 5 - contract the word states along the cups: 1074
 self-check passed: 21*43 + 9*19 + 0*0 = 1074
 """
 
+MOTHS = ["moths", "saw", "men", "with", "telescopes"]
+
+REDUCE_SENTENCE = """\
+reduction 0: cups (0,1), (3,4)
+n n^r s n^l n
+|__|  |  |__|
+"""
+
+REDUCE_ADJECTIVE_JSON = """\
+{
+  "source": "n n^l n n^l n",
+  "target": "n n^l n",
+  "reductions": [
+    {
+      "cups": [
+        [
+          1,
+          2
+        ]
+      ],
+      "residual": "n n^l n"
+    },
+    {
+      "cups": [
+        [
+          3,
+          4
+        ]
+      ],
+      "residual": "n n^l n"
+    }
+  ]
+}
+"""
+
+MOTHS_PARSES = """\
+parse 0: types [n . n^r s n^l . n . n^r n n^l . n] \
+cups [(0,1), (3,6), (4,5), (7,8)] meaning [1627.0]
+parse 1: types [n . n^r s n^l . n . s^r s n^l . n] \
+cups [(0,1), (2,5), (3,4), (7,8)] meaning [3135.0]
+"""
+
+MOTHS_PARSE_1_JSON = """\
+{
+  "parse": [
+    [
+      0,
+      1
+    ],
+    [
+      2,
+      5
+    ],
+    [
+      3,
+      4
+    ],
+    [
+      7,
+      8
+    ]
+  ],
+  "meaning": {
+    "dims": [
+      1
+    ],
+    "data": [
+      3135
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["reduce", "n n^r s n^l n", "s"], 0, REDUCE_SENTENCE, ""),
+    (["reduce", "n n^l n n^l n", "n n^l n", "--json"], 0,
+     REDUCE_ADJECTIVE_JSON, ""),
+    (["meaning", *MOTHS, "--lexicon", AMBIG, "--list-parses"], 0,
+     MOTHS_PARSES, ""),
+    (["meaning", *MOTHS, "--lexicon", AMBIG, "--parse-index", "1", "--json"],
+     0, MOTHS_PARSE_1_JSON, ""),
+    (["meaning", *MOTHS, "--lexicon", AMBIG, "--parse-index", "9"], 1, "",
+     "parse_index 9 out of range: sentence has 2 parse(s)\n"),
+], ids=["reduce", "reduce-json", "list-parses", "parse-index-json",
+        "parse-index-out-of-range"])
+def test_exact_output(capsys, argv, code, out, err):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
 
 class TestReduce:
     def test_sentence(self, capsys):

@@ -29,6 +29,24 @@ class TestDuals:
             assert monotone_left_dual(double, n) == (n + 1) // 2
             assert monotone_right_dual(double, n) == n // 2
 
+    # f(0) = -4: n = -20 and -4 bracket downward from 0, n = -3 and 40
+    # upward; the right dual at -4 searches for n = -3
+    @pytest.mark.parametrize("dual, n, value, calls", [
+        (monotone_left_dual, -20, -10, [0, -1, -2, -4, -8, -16, -12, -10, -11]),
+        (monotone_right_dual, -20, -11, [0, -1, -2, -4, -8, -16, -12, -10, -11]),
+        (monotone_left_dual, -4, 0, [0, -1]),
+        (monotone_right_dual, -4, 1, [0, 1, 2]),
+        (monotone_left_dual, -3, 2, [0, 1, 2]),
+        (monotone_left_dual, 40, 30, [0, 1, 2, 4, 8, 16, 32, 24, 28, 30, 29]),
+        (monotone_right_dual, 40, 29, [0, 1, 2, 4, 8, 16, 32, 24, 28, 30, 29]),
+    ])
+    def test_arguments_the_search_passes_to_f(self, dual, n, value, calls):
+        seen = []
+        f = MonotoneMap(lambda m: seen.append(m) or 3 * (m // 2) - 4)
+        seen.clear()  # drop the construction probes
+        assert dual(f, n) == value
+        assert seen == calls
+
     def test_duals_match_linear_scan(self):
         # independent oracle: scan every candidate in a wide interval
         f = MonotoneMap(lambda m: 3 * (m // 2) - 4, name="scan-check")
@@ -52,10 +70,16 @@ class TestValidation:
         # passes the construction probes but saturates above
         capped = MonotoneMap(lambda m: min(m, 50), name="capped",
                              radius=2 ** 12)
-        with pytest.raises(SearchRadiusError):
+        with pytest.raises(SearchRadiusError,
+                           match=r"no m with f\(m\) >= 100 within radius 4096"):
             monotone_left_dual(capped, 100)
         with pytest.raises(SearchRadiusError):
             monotone_right_dual(capped, 100)
+        floored = MonotoneMap(lambda m: max(m, -50), name="floored",
+                              radius=2 ** 12)
+        with pytest.raises(SearchRadiusError,
+                           match=r"no m with f\(m\) < -100 within radius 4096"):
+            monotone_left_dual(floored, -100)
 
     def test_empty_probe_window(self):
         with pytest.raises(ValueError):
