@@ -14,11 +14,10 @@ from .corpus import (ContextConfig, CooccurrenceCounts, Lexicon,
                      LexiconFormatError, build_noun_vector,
                      count_cooccurrence, export_vectors_tsv, load_lexicon,
                      save_lexicon, tokenize)
-from .functor import (FunctorAssignment, LexiconEntry, NoParseError,
-                      PrellerWitness, SentenceAnalysis, UnassignedTypeError,
-                      UnknownWordError, assign_space, enumerate_analyses,
-                      identity_verb, lift_reduction, preller_obstruction,
-                      sentence_meaning, spaces_of)
+from .functor import (LexiconEntry, NoParseError, PrellerWitness,
+                      SentenceAnalysis, UnassignedTypeError, UnknownWordError,
+                      enumerate_analyses, identity_verb, lift_reduction,
+                      preller_obstruction, sentence_meaning, spaces_of)
 from .linalg import (ContractionPlan, Tensor, VectorSpace, apply_epsilon,
                      contract, make_eta, process_to_state, scalar,
                      state_to_process, tensor_product, yanking_check)
@@ -26,6 +25,7 @@ from .monotone import (MonotoneMap, SearchRadiusError, galois_check,
                        monotone_left_dual, monotone_right_dual)
 from .pregroup import (BasicType, CompoundType, Cup, ReductionDiagram,
                        SimpleType, TypeSyntaxError, adjoint_of, can_contract,
-                       enumerate_reductions, parse_type_expr)
+                       enumerate_reductions, iter_reductions,
+                       parse_type_expr)
 
 __version__ = "0.1.0"

@@ -12,10 +12,12 @@ import json
 import random
 import sys
 from importlib import resources
+from itertools import product
 
 from . import linalg, monotone, oracle
 from .corpus import (ContextConfig, Lexicon, LexiconFormatError,
-                     export_vectors_tsv, load_lexicon, tokenize)
+                     export_vectors_tsv, load_lexicon, tensor_literal,
+                     tokenize)
 from .functor import (NoParseError, UnknownWordError, enumerate_analyses,
                       preller_obstruction, sentence_meaning)
 from .pregroup import (BasicType, CompoundType, ReductionDiagram, SimpleType,
@@ -126,12 +128,6 @@ def cmd_reduce(args) -> int:
     return EXIT_OK if diagrams else EXIT_DOMAIN
 
 
-def _tensor_literal(t: linalg.Tensor) -> dict:
-    return {"dims": list(t.dims),
-            "data": [int(x) if float(x).is_integer() else float(x)
-                     for x in t.flat]}
-
-
 def cmd_meaning(args) -> int:
     try:
         lexicon = load_lexicon(args.lexicon)
@@ -164,7 +160,7 @@ def cmd_meaning(args) -> int:
         return EXIT_DOMAIN
     if args.json:
         doc = {"parse": [list(c) for c in analysis.chosen.sorted_cups],
-               "meaning": _tensor_literal(analysis.meaning)}
+               "meaning": tensor_literal(analysis.meaning)}
         print(json.dumps(doc, indent=2, allow_nan=False))
         return EXIT_OK
     print(render_reduction(analysis.chosen))
@@ -304,7 +300,8 @@ def cmd_verify(args) -> int:
         full_max = min(5, args.max_len)
         for length in range(0, args.max_len + 1):
             if length <= full_max:
-                sources = _all_sources(alphabet, length)
+                sources = [CompoundType(s)
+                           for s in product(alphabet, repeat=length)]
                 label = f"oracle len={length} (all {len(sources)} sources)"
             else:
                 sources = [
@@ -317,14 +314,6 @@ def cmd_verify(args) -> int:
 
     print(f"unknown suite {args.suite!r}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _all_sources(alphabet, length):
-    sources = [CompoundType()]
-    for _ in range(length):
-        sources = [CompoundType(tuple(s) + (t,))
-                   for s in sources for t in alphabet]
-    return sources
 
 
 def cmd_demo(args) -> int:
@@ -380,9 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parse-index", type=_at_least(0), default=0,
                    dest="parse_index",
                    help="which parse to use when several exist")
-    p.add_argument("--list-parses", action="store_true",
-                   help="list every (reading, reduction) pair with meanings")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--list-parses", action="store_true",
+                        help="list every (reading, reduction) pair with meanings")
+    output.add_argument("--json", action="store_true",
+                        help="machine-readable output")
     p.set_defaults(func=cmd_meaning)
 
     p = sub.add_parser("vectors", help="co-occurrence count vectors as TSV")

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import re
+import string
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .functor import (FunctorAssignment, LexiconEntry, UnassignedTypeError,
-                      spaces_of)
+from .functor import LexiconEntry, UnassignedTypeError, spaces_of
 from .linalg import Tensor, VectorSpace
 from .pregroup import CompoundType, parse_type_expr
 
@@ -34,10 +34,12 @@ __all__ = [
     "build_noun_vector",
     "save_lexicon",
     "load_lexicon",
+    "tensor_literal",
     "export_vectors_tsv",
 ]
 
 _EDGE_PUNCT = re.compile(r"^[^A-Za-z0-9']+|[^A-Za-z0-9']+$")
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,6 @@ class ContextConfig:
         return {w: i for i, w in enumerate(self.context_words)}
 
 
-def _ascii_lower(token: str) -> str:
-    return "".join(
-        chr(ord(c) + 32) if "A" <= c <= "Z" else c for c in token)
-
-
 def tokenize(text: str, cfg: ContextConfig) -> list[str]:
     """Whitespace tokens, optionally stripped of leading/trailing
     non-alphanumeric-non-apostrophe characters and ASCII-lowercased.
@@ -81,7 +78,7 @@ def tokenize(text: str, cfg: ContextConfig) -> list[str]:
         if cfg.strip_punct:
             token = _EDGE_PUNCT.sub("", token)
         if cfg.lowercase:
-            token = _ascii_lower(token)
+            token = token.translate(_ASCII_LOWER)
         if token:
             out.append(token)
     return out
@@ -162,8 +159,9 @@ class Lexicon:
     def register_space(self, name: str, space: VectorSpace):
         self.spaces[name] = space
 
-    def functor_assignment(self) -> FunctorAssignment:
-        return FunctorAssignment(self.spaces)
+    def functor_assignment(self) -> dict[str, VectorSpace]:
+        """A copy of the space registry: the functor's object part."""
+        return dict(self.spaces)
 
     def add(self, word: str, gtype: CompoundType | str, data) -> LexiconEntry:
         """Append a reading; the state spaces follow the type's simples.
@@ -174,7 +172,7 @@ class Lexicon:
         """
         if isinstance(gtype, str):
             gtype = parse_type_expr(gtype)
-        state = Tensor(spaces_of(self.functor_assignment(), gtype), data)
+        state = Tensor(spaces_of(self.spaces, gtype), data)
         # NaN fails every comparison, so this one rejects NaN and +-inf
         if not abs(state.array).max() < float("inf"):
             raise ValueError("data must be a list of finite numbers")
@@ -211,13 +209,17 @@ def _is_positive_int(x) -> bool:
     return type(x) is int and x >= 1  # bool is an int subclass
 
 
-def _format_number(x: float):
-    return int(x) if float(x).is_integer() else float(x)
+def tensor_literal(t: Tensor) -> dict:
+    """A state's ``{"dims", "data"}`` record, the form lexicon files and
+    ``gramsem meaning --json`` write; integral values are written as ints
+    to keep files diffable."""
+    return {"dims": list(t.dims),
+            "data": [int(x) if x.is_integer() else x for x in t.flat]}
 
 
 def save_lexicon(lexicon: Lexicon, path):
     """Write the JSON form; entries keep insertion order, spaces sort by
-    label, integral floats are written as ints to keep files diffable."""
+    label, states are :func:`tensor_literal` records."""
     doc = {
         "spaces": {
             name: ({"dim": sp.dim, "basis": list(sp.basis_labels)}
@@ -228,10 +230,7 @@ def save_lexicon(lexicon: Lexicon, path):
             {
                 "word": e.word,
                 "type": str(e.gtype),
-                "tensor": {
-                    "dims": list(e.state.dims),
-                    "data": [_format_number(x) for x in e.state.flat],
-                },
+                "tensor": tensor_literal(e.state),
             }
             for e in lexicon.all_entries()
         ],
@@ -270,7 +269,6 @@ def load_lexicon(path) -> Lexicon:
         except ValueError as exc:
             raise LexiconFormatError(f"{where}.basis", str(exc)) from exc
     lexicon = Lexicon(spaces)
-    assignment = lexicon.functor_assignment()
     for k, rec in enumerate(doc["entries"]):
         where = f"entries[{k}]"
         _expect(isinstance(rec, dict), where, "must be an object")
@@ -294,7 +292,7 @@ def load_lexicon(path) -> Lexicon:
                         for x in data),
                 f"{where}.tensor.data", "must be a list of finite numbers")
         try:
-            expected_dims = [s.dim for s in spaces_of(assignment, gtype)]
+            expected_dims = [s.dim for s in spaces_of(spaces, gtype)]
         except UnassignedTypeError as exc:
             raise LexiconFormatError(
                 f"{where}.type", f"word {word!r} uses basic type {exc.name!r} "

@@ -7,32 +7,32 @@ sides gives the sentence-meaning pipeline: the word states' tensor
 product contracted along a chosen reduction.  It is evaluated word by
 word (:func:`gramsem.linalg.contract_states`), so the full product of the
 word states is never built; the residual tensor is read off at the end.
+Both entry points read one lazy stream of parses.
 
-:func:`spaces_of` is the only map from types to spaces; the lexicon uses
-it to give each state its spaces.  The assignment passed to the pipeline
-is checked against the word states once, where they are contracted: a
-plan whose spaces differ from the states' raises ``ValueError`` there.
+An assignment, the object part, is any mapping from basic type name to
+space; :func:`spaces_of` is the only map from types to spaces.  It is
+checked against the word states once, where they are contracted: a plan
+whose spaces differ from the states' raises ``ValueError`` there.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .linalg import ContractionPlan, Tensor, VectorSpace, contract_states
-from .pregroup import (CompoundType, ReductionDiagram, SimpleType,
-                       enumerate_reductions, parse_type_expr)
+from .pregroup import (CompoundType, ReductionDiagram, iter_reductions,
+                       parse_type_expr)
 
 __all__ = [
-    "FunctorAssignment",
     "LexiconEntry",
     "SentenceAnalysis",
     "UnassignedTypeError",
     "UnknownWordError",
     "NoParseError",
-    "assign_space",
     "spaces_of",
     "lift_reduction",
     "identity_verb",
@@ -69,34 +69,20 @@ class NoParseError(ValueError):
     """No reduction from the concatenated word types to the target."""
 
 
-@dataclass(frozen=True)
-class FunctorAssignment:
-    """The object part of the functor: basic type name -> space."""
-
-    space_of: dict[str, VectorSpace]
-
-    def __post_init__(self):
-        object.__setattr__(self, "space_of", dict(self.space_of))
-
-
-def assign_space(assignment: FunctorAssignment, t: SimpleType) -> VectorSpace:
-    """Space of a simple type; the adjoint exponent is ignored because the
-    fixed basis identifies each space with its dual."""
-    try:
-        return assignment.space_of[t.base.name]
-    except KeyError:
-        raise UnassignedTypeError(t.base.name) from None
-
-
-def spaces_of(assignment: FunctorAssignment,
+def spaces_of(assignment: Mapping[str, VectorSpace],
               ct: CompoundType) -> tuple[VectorSpace, ...]:
-    """Image of a compound type: one space per simple, in order."""
+    """Image of a compound type: one space per simple, in order.  The
+    adjoint exponent is ignored because the fixed basis identifies each
+    space with its dual."""
     # a list, not a generator: this runs for every entry of a loaded
     # lexicon, and a generator per call raised the load's peak RSS
-    return tuple([assign_space(assignment, t) for t in ct])
+    try:
+        return tuple([assignment[t.base.name] for t in ct])
+    except KeyError as exc:
+        raise UnassignedTypeError(exc.args[0]) from None
 
 
-def lift_reduction(assignment: FunctorAssignment,
+def lift_reduction(assignment: Mapping[str, VectorSpace],
                    d: ReductionDiagram) -> ContractionPlan:
     """A reduction diagram becomes the plan contracting its cup positions;
     counits turn into index sums, identity wires into free indices."""
@@ -121,18 +107,21 @@ class LexiconEntry:
 
 @dataclass(frozen=True)
 class SentenceAnalysis:
-    """One fully resolved parse: the chosen readings, their concatenated
-    type, the chosen reduction, and the contracted meaning tensor."""
+    """One fully resolved parse: the chosen readings, the chosen reduction
+    of their concatenated type, and the contracted meaning tensor."""
 
     words: tuple[LexiconEntry, ...]
-    concat_type: CompoundType
     chosen: ReductionDiagram
     meaning: Tensor
 
+    @property
+    def concat_type(self) -> CompoundType:
+        return self.chosen.source  # the readings' types, concatenated
 
-def _combinations(words, lexicon):
-    """Every reading combination with its concatenated type, rightmost
-    word varying fastest."""
+
+def _parses(words, lexicon, target: CompoundType):
+    """The sentence's (reading combination, reduction) pairs, lazily, in
+    the parse order :func:`enumerate_analyses` documents."""
     readings = []
     for w in words:
         entries = lexicon.entries_for(w)
@@ -140,20 +129,22 @@ def _combinations(words, lexicon):
             raise UnknownWordError(w)
         readings.append(entries)
     for combo in product(*readings):
-        yield combo, CompoundType([t for e in combo for t in e.gtype.simples])
+        concat = CompoundType([t for e in combo for t in e.gtype.simples])
+        for diagram in iter_reductions(concat, target):
+            yield combo, diagram
 
 
-def _analyse(combo, concat, diagram, assignment) -> SentenceAnalysis:
+def _analyse(combo, diagram, assignment) -> SentenceAnalysis:
     meaning = contract_states([e.state for e in combo],
                               lift_reduction(assignment, diagram))
-    return SentenceAnalysis(combo, concat, diagram, meaning)
+    return SentenceAnalysis(combo, diagram, meaning)
 
 
-def enumerate_analyses(words, lexicon, assignment: FunctorAssignment,
+def enumerate_analyses(words, lexicon, assignment: Mapping[str, VectorSpace],
                        target: CompoundType | str = "s") -> list[SentenceAnalysis]:
-    """Every (reading combination, reduction) pair for the sentence, in a
-    fixed order: combinations vary in lexicon entry order (rightmost word
-    fastest), reductions in canonical cup order within each combination.
+    """Every parse of the sentence, contracted, in parse order: reading
+    combinations vary in lexicon entry order (rightmost word fastest),
+    reductions in canonical cup order within each combination.
 
     Raises :class:`UnknownWordError` for a missing word, and
     ``ValueError`` when ``assignment`` gives a parse other spaces than its
@@ -161,20 +152,19 @@ def enumerate_analyses(words, lexicon, assignment: FunctorAssignment,
     """
     if isinstance(target, str):
         target = parse_type_expr(target)
-    return [_analyse(combo, concat, d, assignment)
-            for combo, concat in _combinations(words, lexicon)
-            for d in enumerate_reductions(concat, target)]
+    return [_analyse(combo, d, assignment)
+            for combo, d in _parses(words, lexicon, target)]
 
 
-def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
+def sentence_meaning(words, lexicon, assignment: Mapping[str, VectorSpace],
                      parse_index: int = 0,
                      target: CompoundType | str = "s") -> SentenceAnalysis:
     """Meaning of a sentence under one chosen parse.
 
     ``parse_index`` picks from :func:`enumerate_analyses`; sentences with
     homonyms or several reductions expose every alternative there.  The
-    search stops at the chosen parse, the only one contracted; reading
-    combinations after it are never visited.
+    parse stream stops at the chosen parse, the only one contracted;
+    reductions and reading combinations after it are never searched.
 
     Raises :class:`UnknownWordError`, :class:`NoParseError`,
     :class:`IndexError` when the parse index exceeds the parse count, or
@@ -186,12 +176,10 @@ def sentence_meaning(words, lexicon, assignment: FunctorAssignment,
     if parse_index < 0:
         raise IndexError(f"parse_index must be >= 0, got {parse_index}")
     total = 0
-    for combo, concat in _combinations(words, lexicon):
-        rest = parse_index - total
-        found = enumerate_reductions(concat, target, limit=rest + 1)
-        if rest < len(found):
-            return _analyse(combo, concat, found[rest], assignment)
-        total += len(found)
+    for combo, d in _parses(words, lexicon, target):
+        if total == parse_index:
+            return _analyse(combo, d, assignment)
+        total += 1
     if not total:
         raise NoParseError(
             f"no reduction from the types of {' '.join(words)!r} to "

@@ -74,26 +74,20 @@ class MonotoneMap:
 
 
 def _bracket_min_ge(f: MonotoneMap, n: int) -> tuple[int, int]:
-    """Find lo < hi with f(lo) < n <= f(hi), expanding exponentially."""
-    if f(0) >= n:
-        hi, step = 0, 1
-        while True:
-            lo = -step
-            if f(lo) < n:
-                return lo, hi
-            if step > f.radius:
-                raise SearchRadiusError(
-                    f"no m with f(m) < {n} within radius {f.radius}")
-            hi, step = lo, step * 2
-    lo, step = 0, 1
+    """Find lo < hi with f(lo) < n <= f(hi), stepping out from 0 by
+    doubling distances: downward while f stays >= n when f(0) >= n,
+    upward while it stays < n otherwise."""
+    down = f(0) >= n
+    near, step = 0, 1
     while True:
-        hi = step
-        if f(hi) >= n:
-            return lo, hi
+        far = -step if down else step
+        if (f(far) < n) == down:
+            return min(near, far), max(near, far)
         if step > f.radius:
             raise SearchRadiusError(
-                f"no m with f(m) >= {n} within radius {f.radius}")
-        lo, step = hi, step * 2
+                f"no m with f(m) {'<' if down else '>='} {n} "
+                f"within radius {f.radius}")
+        near, step = far, step * 2
 
 
 def monotone_left_dual(f: MonotoneMap, n: int) -> int:

@@ -8,7 +8,8 @@ cancelling an adjacent-after-inner-removal pair ``x . x^r`` or ``x^l . x``.
 The search keeps one memoised count, the reductions of each span of the
 source to a suffix of the target (the counting semiring over cubic
 pregroup spans), and one generator that follows it in canonical order,
-entering no span that holds none.
+entering no span that holds none.  :func:`iter_reductions` yields the
+reductions lazily; :func:`enumerate_reductions` lists a prefix of them.
 
 >>> src = parse_type_expr("n n^r s n^l n")
 >>> [d.sorted_cups for d in enumerate_reductions(src, parse_type_expr("s"))]
@@ -34,6 +35,7 @@ __all__ = [
     "adjoint_of",
     "can_contract",
     "enumerate_reductions",
+    "iter_reductions",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -273,28 +275,21 @@ class ReductionDiagram:
         return f"{self.source} --[{cups}]--> {self.residual}"
 
 
-def enumerate_reductions(source: CompoundType,
-                         target: CompoundType,
-                         limit: int | None = None) -> list[ReductionDiagram]:
-    """All planar reductions of ``source`` whose residual equals ``target``,
-    sorted lexicographically by their cups.
+def iter_reductions(source: CompoundType,
+                    target: CompoundType) -> Iterator[ReductionDiagram]:
+    """Yield the planar reductions of ``source`` whose residual equals
+    ``target`` one at a time, lexicographically by their cups.
 
-    The search is exhaustive; an unreducible pair yields ``[]``.  One
+    The search is exhaustive; an unreducible pair yields nothing.  One
     memoised count gives the number of reductions of each span of
     ``source`` to a suffix of ``target``, and one generator follows those
     counts in the canonical order, entering no branch whose count is 0.
-    Reductions are never sorted, so ``limit`` (>= 1 when given) costs
-    ``limit`` paths plus the chart of counts.
-
-    >>> one = enumerate_reductions(parse_type_expr("n n^l n"), parse_type_expr("n"))
-    >>> [d.sorted_cups for d in one]
-    [((1, 2),)]
+    Reductions are never sorted, so the first ``k`` cost ``k`` paths plus
+    the chart of counts, and a caller that stops early stops the search.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     n, m = len(source), len(target)
     if (n - m) % 2 != 0 or n < m:
-        return []
+        return
     src = [(t.base.name, t.adjoint) for t in source]
     tgt = [(t.base.name, t.adjoint) for t in target]
 
@@ -356,5 +351,20 @@ def enumerate_reductions(source: CompoundType,
         if t == m or src[lo:hi] == tgt[t:]:  # no room for a cup: all residual
             yield
 
-    return [ReductionDiagram(source, cups)
-            for _ in islice(fill(0, n, 0), limit)]
+    for _ in fill(0, n, 0):
+        yield ReductionDiagram(source, cups)
+
+
+def enumerate_reductions(source: CompoundType,
+                         target: CompoundType,
+                         limit: int | None = None) -> list[ReductionDiagram]:
+    """The first ``limit`` (>= 1 when given, else all) reductions of
+    :func:`iter_reductions`, as a list.
+
+    >>> src = parse_type_expr("n n^l n n^l n")
+    >>> [d.sorted_cups for d in enumerate_reductions(src, src[2:], limit=1)]
+    [((1, 2),)]
+    """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    return list(islice(iter_reductions(source, target), limit))

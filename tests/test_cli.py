@@ -248,6 +248,15 @@ class TestMeaning:
         assert main(["meaning", "bananas", "are", "fruit",
                      "--parse-index", "5"]) == 1
 
+    def test_list_parses_with_json_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["meaning", "bananas", "are", "fruit", "--list-parses",
+                  "--json"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and ("argument --json: not allowed with "
+                                       "argument --list-parses") in captured.err
+
     def test_negative_parse_index_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["meaning", "bananas", "are", "fruit", "--parse-index", "-1"])

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from gramsem import functor
 from gramsem.corpus import Lexicon
-from gramsem.functor import (FunctorAssignment, NoParseError,
-                             UnassignedTypeError, UnknownWordError,
-                             assign_space, enumerate_analyses, identity_verb,
-                             lift_reduction, preller_obstruction,
-                             sentence_meaning, spaces_of)
+from gramsem.functor import (NoParseError, UnassignedTypeError,
+                             UnknownWordError, enumerate_analyses,
+                             identity_verb, lift_reduction,
+                             preller_obstruction, sentence_meaning, spaces_of)
 from gramsem.linalg import Tensor, VectorSpace, contract, tensor_product
 from gramsem.oracle import contraction_disagreement
 from gramsem.pregroup import (CompoundType, Cup, ReductionDiagram, SimpleType,
@@ -22,19 +21,19 @@ from gramsem.pregroup import (CompoundType, Cup, ReductionDiagram, SimpleType,
 
 N = VectorSpace("n", 3, ("sweet", "green", "furry"))
 S = VectorSpace("s", 1)
-F = FunctorAssignment({"n": N, "s": S})
+F = {"n": N, "s": S}
 
 
 class TestSpaceAssignment:
     def test_plain_and_duals_share_a_space(self):
         n = parse_type_expr("n")[0]
-        assert assign_space(F, n) == N
-        assert assign_space(F, SimpleType(n.base, 1)) == N
+        assert spaces_of(F, CompoundType([n])) == (N,)
+        assert spaces_of(F, CompoundType([SimpleType(n.base, 1)])) == (N,)
 
     def test_dual_collapse_all_exponents(self):
         n = parse_type_expr("n")[0]
         for z in range(-3, 4):
-            assert assign_space(F, SimpleType(n.base, z)) == N
+            assert spaces_of(F, CompoundType([SimpleType(n.base, z)])) == (N,)
 
     def test_verb_type_maps_to_triple(self):
         assert spaces_of(F, parse_type_expr("n^r s n^l")) == (N, S, N)
@@ -128,7 +127,7 @@ class TestSentenceMeaning:
                                                     words, error, match):
         # the states are checked against the assignment where a parse is
         # contracted, so a sentence with no parse is just unparseable
-        assignment = FunctorAssignment({"n": space, "s": S})
+        assignment = {"n": space, "s": S}
         with pytest.raises(error, match=match):
             sentence_meaning(words, toy_lexicon, assignment)
 
@@ -243,17 +242,24 @@ class TestScaling:
             assert got.words == want.words
             assert got.chosen.sorted_cups == want.chosen.sorted_cups
             assert got.meaning == want.meaning
+        # the parse stream stops at the chosen parse: parse 0 pulls one
+        # diagram, and an index past the end pulls every one of the 42
+        pulled = []
+        real = functor.iter_reductions
+
+        def counting(source, target):
+            for d in real(source, target):
+                pulled.append(d)
+                yield d
+
+        monkeypatch.setattr(functor, "iter_reductions", counting)
+        sentence_meaning(self.WORDS, ambiguous_lexicon, assignment)
+        assert len(pulled) == 1
+        pulled.clear()
         with pytest.raises(IndexError, match="has 42 parse"):
             sentence_meaning(self.WORDS, ambiguous_lexicon, assignment,
                              parse_index=42)
-        # parse 0 lies in the first reading combination: one search, one path
-        limits = []
-        real = functor.enumerate_reductions
-        monkeypatch.setattr(functor, "enumerate_reductions",
-                            lambda *args, limit=None: limits.append(limit)
-                            or real(*args, limit=limit))
-        sentence_meaning(self.WORDS, ambiguous_lexicon, assignment)
-        assert limits == [1]
+        assert len(pulled) == 42
 
     def test_peak_memory(self, ambiguous_lexicon):
         assignment = ambiguous_lexicon.functor_assignment()

@@ -11,6 +11,7 @@ from gramsem.oracle import all_partial_matchings, matching_is_valid
 from gramsem.pregroup import (BasicType, CompoundType, Cup, ReductionDiagram,
                               SimpleType, TypeSyntaxError, adjoint_of,
                               can_contract, enumerate_reductions,
+                              iter_reductions,
                               parse_type_expr)
 
 N = BasicType("n")
@@ -204,6 +205,7 @@ class TestEnumerate:
         assert len(full) == [1, 1, 2, 5, 14, 42][j]
         for k in range(1, len(full) + 1):
             assert enumerate_reductions(src, ct("s"), limit=k) == full[:k]
+        assert list(iter_reductions(src, ct("s"))) == full
 
     def test_limit_stops_early_on_a_long_chain(self):
         # 6.6 * 10^9 reductions: only the chart of counts and one path
@@ -299,5 +301,6 @@ def test_enumeration_matches_oracle_and_replays(source):
         for k in range(1, len(diagrams) + 1):
             assert enumerate_reductions(source, residual, limit=k) == \
                 diagrams[:k]
+        assert list(iter_reductions(source, residual)) == diagrams
         for d in diagrams:
             assert replay_innermost_first(d) == residual
