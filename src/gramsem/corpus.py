@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import re
 import string
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .functor import LexiconEntry, UnassignedTypeError, spaces_of
 from .linalg import Tensor, VectorSpace
@@ -40,6 +41,8 @@ __all__ = [
 
 _EDGE_PUNCT = re.compile(r"^[^A-Za-z0-9']+|[^A-Za-z0-9']+$")
 _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+_IN_WORD = frozenset(string.ascii_letters + string.digits + "'").__contains__
+_NUMBER = frozenset((int, float))  # json.load makes no subclasses, so no bool
 
 
 @dataclass(frozen=True)
@@ -73,15 +76,14 @@ def tokenize(text: str, cfg: ContextConfig) -> list[str]:
     non-alphanumeric-non-apostrophe characters and ASCII-lowercased.
     Tokens emptied by stripping are dropped.
     """
-    out = []
-    for token in text.split():
-        if cfg.strip_punct:
-            token = _EDGE_PUNCT.sub("", token)
-        if cfg.lowercase:
-            token = token.translate(_ASCII_LOWER)
-        if token:
-            out.append(token)
-    return out
+    if cfg.lowercase:  # the edge class is case-blind, so lowering first is safe
+        text = text.translate(_ASCII_LOWER)
+    tokens = text.split()
+    if cfg.strip_punct:
+        tokens = list(filter(None, (
+            t if _IN_WORD(t[0]) and _IN_WORD(t[-1]) else _EDGE_PUNCT.sub("", t)
+            for t in tokens)))
+    return tokens
 
 
 @dataclass
@@ -107,18 +109,12 @@ def count_cooccurrence(tokens, cfg: ContextConfig) -> CooccurrenceCounts:
 
     The window is symmetric and a token never pairs with its own position.
     """
-    index_of = cfg.index_of
-    counts: dict[tuple[str, int], int] = defaultdict(int)
-    n = len(tokens)
-    for p, target in enumerate(tokens):
-        lo = max(0, p - cfg.window)
-        hi = min(n, p + cfg.window + 1)
-        for q in range(lo, hi):
-            if q == p:
-                continue
-            idx = index_of.get(tokens[q])
-            if idx is not None:
-                counts[(target, idx)] += 1
+    ids = list(map(cfg.index_of.get, tokens))
+    is_context = [i is not None for i in ids]
+    counts = Counter()
+    for d in range(1, min(cfg.window + 1, len(tokens))):  # one offset a pass
+        counts.update(compress(zip(tokens, ids[d:]), is_context[d:]))  # q = p + d
+        counts.update(compress(zip(tokens[d:], ids), is_context))  # q = p - d
     return CooccurrenceCounts(dict(counts))
 
 
@@ -130,7 +126,8 @@ def build_noun_vector(word: str, counts: CooccurrenceCounts,
     if space is None:
         space = VectorSpace("n", len(cfg.context_words),
                             basis_labels=cfg.context_words)
-    data = [counts.get(word, i) for i in range(len(cfg.context_words))]
+    get = counts.counts.get
+    data = [get((word, i), 0) for i in range(len(cfg.context_words))]
     return Tensor((space,), data)
 
 
@@ -218,26 +215,17 @@ def tensor_literal(t: Tensor) -> dict:
 
 
 def save_lexicon(lexicon: Lexicon, path):
-    """Write the JSON form; entries keep insertion order, spaces sort by
-    label, states are :func:`tensor_literal` records."""
-    doc = {
-        "spaces": {
-            name: ({"dim": sp.dim, "basis": list(sp.basis_labels)}
-                   if sp.basis_labels is not None else {"dim": sp.dim})
-            for name, sp in sorted(lexicon.spaces.items())
-        },
-        "entries": [
-            {
-                "word": e.word,
-                "type": str(e.gtype),
-                "tensor": tensor_literal(e.state),
-            }
-            for e in lexicon.all_entries()
-        ],
-    }
+    """Write the JSON form with one entry per line; entries keep insertion
+    order, spaces sort by label, states are :func:`tensor_literal` records."""
+    spaces = {name: ({"dim": sp.dim, "basis": list(sp.basis_labels)}
+                     if sp.basis_labels is not None else {"dim": sp.dim})
+              for name, sp in sorted(lexicon.spaces.items())}
+    entries = ",".join(
+        "\n" + json.dumps({"word": e.word, "type": str(e.gtype),
+                           "tensor": tensor_literal(e.state)})
+        for e in lexicon.all_entries())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{{"spaces": {json.dumps(spaces)},\n"entries": [{entries}\n]}}\n')
 
 
 def load_lexicon(path) -> Lexicon:
@@ -269,6 +257,7 @@ def load_lexicon(path) -> Lexicon:
         except ValueError as exc:
             raise LexiconFormatError(f"{where}.basis", str(exc)) from exc
     lexicon = Lexicon(spaces)
+    readings = {}  # type text -> (type, its dims or the missing space's error)
     for k, rec in enumerate(doc["entries"]):
         where = f"entries[{k}]"
         _expect(isinstance(rec, dict), where, "must be an object")
@@ -277,26 +266,28 @@ def load_lexicon(path) -> Lexicon:
                 "must be a nonempty string")
         type_expr = rec.get("type")
         _expect(isinstance(type_expr, str), f"{where}.type", "must be a string")
-        try:
-            gtype = parse_type_expr(type_expr)
-        except ValueError as exc:
-            raise LexiconFormatError(f"{where}.type", str(exc)) from exc
+        if type_expr not in readings:
+            try:
+                gtype = parse_type_expr(type_expr)
+            except ValueError as exc:
+                raise LexiconFormatError(f"{where}.type", str(exc)) from exc
+            try:
+                readings[type_expr] = gtype, [s.dim for s in spaces_of(spaces, gtype)]
+            except UnassignedTypeError as exc:
+                readings[type_expr] = gtype, exc
+        gtype, expected_dims = readings[type_expr]
         tensor = rec.get("tensor")
         _expect(isinstance(tensor, dict), f"{where}.tensor", "must be an object")
         dims = tensor.get("dims")
         _expect(isinstance(dims, list) and all(map(_is_positive_int, dims)),
                 f"{where}.tensor.dims", "must be a list of positive integers")
         data = tensor.get("data")
-        _expect(isinstance(data, list)
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in data),
+        _expect(isinstance(data, list) and _NUMBER.issuperset(map(type, data)),
                 f"{where}.tensor.data", "must be a list of finite numbers")
-        try:
-            expected_dims = [s.dim for s in spaces_of(spaces, gtype)]
-        except UnassignedTypeError as exc:
+        if isinstance(expected_dims, UnassignedTypeError):
             raise LexiconFormatError(
-                f"{where}.type", f"word {word!r} uses basic type {exc.name!r} "
-                f"with no space record") from exc
+                f"{where}.type", f"word {word!r} uses basic type "
+                f"{expected_dims.name!r} with no space record") from expected_dims
         _expect(dims == expected_dims, f"{where}.tensor.dims",
                 f"word {word!r} declares dims {dims} but type "
                 f"{type_expr!r} needs {expected_dims}")

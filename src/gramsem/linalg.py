@@ -94,7 +94,7 @@ class Tensor:
     @property
     def flat(self) -> list[float]:
         """Row-major data as a plain list (the serialised layout)."""
-        return [float(x) for x in self.array.reshape(-1)]
+        return self.array.reshape(-1).tolist()
 
     def item(self) -> float:
         if self.rank != 0 and self.array.size != 1:

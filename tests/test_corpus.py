@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import re
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,31 @@ from gramsem.functor import UnassignedTypeError
 from gramsem.linalg import Tensor, VectorSpace
 
 CFG = ContextConfig(("sweet", "green", "furry"), window=1)
+
+
+def naive_tokenize(text, cfg):
+    """The per-token reference: strip the edges, then lowercase ASCII."""
+    out = []
+    for token in text.split():
+        if cfg.strip_punct:
+            token = re.sub(r"^[^A-Za-z0-9']+|[^A-Za-z0-9']+$", "", token)
+        if cfg.lowercase:
+            token = token.translate(str.maketrans(string.ascii_uppercase,
+                                                  string.ascii_lowercase))
+        if token:
+            out.append(token)
+    return out
+
+
+def naive_counts(tokens, cfg):
+    """The window rule as a double loop over positions (p, q)."""
+    counts = {}
+    for p, target in enumerate(tokens):
+        for q, ctx in enumerate(tokens):
+            if 0 < abs(p - q) <= cfg.window and ctx in cfg.index_of:
+                key = (target, cfg.index_of[ctx])
+                counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 class TestConfig:
@@ -42,6 +69,17 @@ class TestTokenize:
     def test_switches_off(self):
         raw = ContextConfig(("x",), lowercase=False, strip_punct=False)
         assert tokenize("Stop! Now", raw) == ["Stop!", "Now"]
+
+    # Unicode spaces, punctuation and letters whose case maps outside ASCII
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from(list(
+               "aZz09'-.!,;\"() \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000"
+               "é\u00c9\u0130\u212a\u00df\u2014\u2026\u00bf\U0001f600"))
+           | st.characters(), max_size=40),
+           st.booleans(), st.booleans())
+    def test_matches_per_token_reference(self, text, lowercase, strip_punct):
+        cfg = ContextConfig(("x",), lowercase=lowercase, strip_punct=strip_punct)
+        assert tokenize(text, cfg) == naive_tokenize(text, cfg)
 
 
 class TestCounting:
@@ -92,6 +130,20 @@ class TestCounting:
         for u in ("a", "b", "c"):
             for v in ("a", "b", "c"):
                 assert counts.get(u, idx[v]) == counts.get(v, idx[u])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from("abcde"), max_size=16),
+           st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4,
+                    unique=True),
+           st.integers(1, 5))
+    def test_matches_naive_double_loop(self, tokens, contexts, window):
+        # small alphabets make targets double as context words; windows
+        # reach past short texts
+        cfg = ContextConfig(tuple(contexts), window=window)
+        for seq in (tokens, tuple(tokens)):
+            counts = count_cooccurrence(seq, cfg).counts
+            assert type(counts) is dict
+            assert counts == naive_counts(tokens, cfg)
 
     def test_merge_adds(self):
         cfg = ContextConfig(("a",), window=1)
@@ -244,6 +296,85 @@ class TestPersistence:
         with pytest.raises(UnassignedTypeError, match="'s'"):
             lex.add("w", "n^r s", [1, 2])
         assert "w" not in lex
+
+    def test_save_writes_one_line_per_entry(self, ambiguous_lexicon, tmp_path):
+        path = tmp_path / "lex.json"
+        save_lexicon(ambiguous_lexicon, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        entries = ambiguous_lexicon.all_entries()
+        assert len(lines) == len(entries) + 3
+        assert lines[0].startswith('{"spaces": {"n": ')
+        assert lines[1] == '"entries": [' and lines[-1] == "]}"
+        records = [json.loads(line.removesuffix(",")) for line in lines[2:-1]]
+        assert [(r["word"], r["type"]) for r in records] == [
+            (e.word, str(e.gtype)) for e in entries]
+
+    def test_save_empty_lexicon(self, tmp_path):
+        lex = Lexicon({"n": VectorSpace("n", 2)})
+        path = tmp_path / "empty.json"
+        save_lexicon(lex, path)
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "spaces": {"n": {"dim": 2}}, "entries": []}
+        assert load_lexicon(path) == lex
+
+    def test_round_trip_exact_numbers_and_readings(self, tmp_path):
+        lex = Lexicon({"n": VectorSpace("n", 2), "s": VectorSpace("s", 1)})
+        lex.add("w", "n", [0.1, 1 / 3])
+        lex.add("w", "n^r s", [-0.0, 2.0 ** 53])
+        lex.add("v", "n", [-(2 ** 53), 1e-300])
+        lex.add("w", "n", [2.5e300, -7])
+        path = tmp_path / "exact.json"
+        save_lexicon(lex, path)
+        loaded = load_lexicon(path)
+        assert loaded == lex
+        assert [e.state.flat for e in loaded.entries_for("w")] == [
+            [0.1, 1 / 3], [0.0, 2.0 ** 53], [2.5e300, -7.0]]
+        # integral values are written as ints
+        records = json.loads(path.read_text(encoding="utf-8"))["entries"]
+        assert records[1]["tensor"]["data"] == [0, 9007199254740992]
+        assert all(type(x) is int for x in records[1]["tensor"]["data"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=2))
+    def test_round_trip_any_finite_floats(self, tmp_path_factory, data):
+        lex = Lexicon({"n": VectorSpace("n", 2)})
+        lex.add("w", "n", data)
+        path = tmp_path_factory.mktemp("floats") / "lex.json"
+        save_lexicon(lex, path)
+        assert load_lexicon(path) == lex
+
+    @pytest.mark.parametrize("literal", ["true", "false", "null", '"1"', "[1]",
+                                         "{}"])
+    def test_non_numbers_in_data_name_the_field(self, tmp_path, literal):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"spaces": {"n": {"dim": 2}}, "entries": ['
+            '{"word": "ok", "type": "n", "tensor": {"dims": [2], "data": [1, 2.5]}},'
+            '{"word": "w", "type": "n", "tensor": {"dims": [2], "data": [1, '
+            + literal + ']}}]}', encoding="utf-8")
+        with pytest.raises(LexiconFormatError,
+                           match="must be a list of finite numbers") as err:
+            load_lexicon(path)
+        assert err.value.path == "entries[1].tensor.data"
+
+    def test_type_errors_name_each_entry(self, tmp_path):
+        # a type text seen before is not re-parsed, but still checked per entry
+        ok = {"word": "ok", "type": "n q", "tensor": {"dims": [1, 1], "data": [1]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "spaces": {"n": {"dim": 1}},
+            "entries": [dict(ok, tensor=[]), ok]}), encoding="utf-8")
+        with pytest.raises(LexiconFormatError) as err:
+            load_lexicon(path)
+        assert err.value.path == "entries[0].tensor"
+        path.write_text(json.dumps({
+            "spaces": {"n": {"dim": 1}, "q": {"dim": 1}},
+            "entries": [ok, dict(ok, tensor={"dims": [1], "data": [1]})]}),
+            encoding="utf-8")
+        with pytest.raises(LexiconFormatError, match="declares dims") as err:
+            load_lexicon(path)
+        assert err.value.path == "entries[1].tensor.dims"
 
     def test_save_is_deterministic(self, toy_lexicon, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
