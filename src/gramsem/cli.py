@@ -55,9 +55,8 @@ def render_reduction(d: ReductionDiagram) -> str:
     matched = {p for c in cups for p in c}
     grid = [[" "] * width for _ in range(nrows)]
     for (i, j), r in depth.items():
-        for row in range(r):
+        for row in range(r + 1):
             grid[row][centers[i]] = grid[row][centers[j]] = "|"
-        grid[r][centers[i]] = grid[r][centers[j]] = "|"
         for cc in range(centers[i] + 1, centers[j]):
             if grid[r][cc] == " ":
                 grid[r][cc] = "_"

@@ -210,6 +210,10 @@ def tensor_literal(t: Tensor) -> dict:
     """A state's ``{"dims", "data"}`` record, the form lexicon files and
     ``gramsem meaning --json`` write; integral values are written as ints
     to keep files diffable."""
+    a = t.array.reshape(-1)
+    # NaN and inf fail the range test, which runs first: the cast never warns
+    if (abs(a) < 2.0 ** 63).all() and (a == (ints := a.astype("int64"))).all():
+        return {"dims": list(t.dims), "data": ints.tolist()}
     return {"dims": list(t.dims),
             "data": [int(x) if x.is_integer() else x for x in t.flat]}
 

@@ -84,9 +84,10 @@ def spaces_of(assignment: Mapping[str, VectorSpace],
 
 def lift_reduction(assignment: Mapping[str, VectorSpace],
                    d: ReductionDiagram) -> ContractionPlan:
-    """A reduction diagram becomes the plan contracting its cup positions;
-    counits turn into index sums, identity wires into free indices."""
-    return ContractionPlan(spaces_of(assignment, d.source), d.cups)
+    """The plan contracting a diagram's cups (unchecked: a cup's two ends
+    share a space); counits become index sums, identity wires free indices."""
+    return ContractionPlan._trusted(spaces_of(assignment, d.source),
+                                    frozenset(d.cups))
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,13 @@ class ContractionPlan:
                     f"paired spaces {self.input_spaces[i]} and "
                     f"{self.input_spaces[j]} have different dims")
 
+    @classmethod
+    def _trusted(cls, input_spaces, pairs) -> "ContractionPlan":
+        """Unchecked: ``pairs`` already sorted, in range, disjoint, equal-dim."""
+        plan = object.__new__(cls)
+        plan.__dict__.update(input_spaces=input_spaces, pairs=pairs)
+        return plan
+
     @property
     def output_indices(self) -> tuple[int, ...]:
         matched = {p for pr in self.pairs for p in pr}

@@ -10,6 +10,8 @@ source to a suffix of the target (the counting semiring over cubic
 pregroup spans), and one generator that follows it in canonical order,
 entering no span that holds none.  :func:`iter_reductions` yields the
 reductions lazily; :func:`enumerate_reductions` lists a prefix of them.
+Public constructors validate everything; search-built diagrams are
+trusted, and are re-checked by tests and by :mod:`gramsem.oracle`.
 
 >>> src = parse_type_expr("n n^r s n^l n")
 >>> [d.sorted_cups for d in enumerate_reductions(src, parse_type_expr("s"))]
@@ -258,6 +260,13 @@ class ReductionDiagram:
                     raise ValueError(
                         f"cups ({q}, {p}) and ({i}, {partner[i]}) cross")
 
+    @classmethod
+    def _trusted(cls, source, cups) -> "ReductionDiagram":
+        """Unchecked: ``cups`` already a sorted tuple of planar redex Cups."""
+        d = object.__new__(cls)
+        d.__dict__.update(source=source, cups=cups)
+        return d
+
     @property
     def sorted_cups(self) -> tuple[Cup, ...]:
         """The cups, sorted at construction: the canonical ordering key."""
@@ -330,7 +339,7 @@ def iter_reductions(source: CompoundType,
             memo[key] = total
         return total
 
-    cups: list[tuple[int, int]] = []
+    cups: list[Cup] = []  # the preorder walk appends them in sorted order
 
     def fill(lo: int, hi: int, t: int):
         """Yield once per reduction of ``src[lo:hi]`` to ``tgt[t:]``, its
@@ -341,7 +350,7 @@ def iter_reductions(source: CompoundType,
                 if q >= hi:
                     break
                 if count(lo + 1, q, m) and count(q + 1, hi, t):
-                    cups.append((lo, q))
+                    cups.append(Cup(lo, q))
                     for _ in fill(lo + 1, q, m):
                         yield from fill(q + 1, hi, t)
                     cups.pop()
@@ -352,7 +361,7 @@ def iter_reductions(source: CompoundType,
             yield
 
     for _ in fill(0, n, 0):
-        yield ReductionDiagram(source, cups)
+        yield ReductionDiagram._trusted(source, tuple(cups))
 
 
 def enumerate_reductions(source: CompoundType,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gramsem.corpus import (ContextConfig, Lexicon, LexiconFormatError,
                             build_noun_vector, count_cooccurrence,
                             export_vectors_tsv, load_lexicon, save_lexicon,
-                            tokenize)
+                            tensor_literal, tokenize)
 from gramsem.functor import UnassignedTypeError
 from gramsem.linalg import Tensor, VectorSpace
 
@@ -343,6 +343,34 @@ class TestPersistence:
         path = tmp_path_factory.mktemp("floats") / "lex.json"
         save_lexicon(lex, path)
         assert load_lexicon(path) == lex
+
+    @staticmethod
+    def check_tensor_literal(data):
+        """tensor_literal equals the per-element form in values and types."""
+        t = Tensor((VectorSpace("n", len(data)),), data)
+        want = [int(x) if x.is_integer() else x for x in t.flat]
+        got = tensor_literal(t)
+        assert got["dims"] == [len(data)]
+        assert [(type(x), repr(x)) for x in got["data"]] == \
+            [(type(x), repr(x)) for x in want]
+
+    # meaning --json can hand tensor_literal a non-finite value before its
+    # own guard, so NaN and inf are covered too
+    @pytest.mark.parametrize("data", [
+        [3, -0.0, 2.0 ** 53], [1, 0.5], [2.0 ** 63, 1], [-(2.0 ** 63), 1],
+        [2.0 ** 63 - 1024, 1], [1e19, 0], [math.inf, 1], [-math.inf, 1],
+        [math.nan, 1]])
+    def test_tensor_literal_edge_values(self, data):
+        self.check_tensor_literal(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(-(2 ** 64), 2 ** 64).map(float),
+        st.floats(),
+        st.sampled_from([-0.0, 2.0 ** 53, 2.0 ** 63, -(2.0 ** 63), 1e19])),
+        min_size=1, max_size=6))
+    def test_tensor_literal_matches_per_element_form(self, data):
+        self.check_tensor_literal(data)
 
     @pytest.mark.parametrize("literal", ["true", "false", "null", '"1"', "[1]",
                                          "{}"])

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramsem.functor import lift_reduction, spaces_of
+from gramsem.linalg import ContractionPlan, VectorSpace
 from gramsem.oracle import all_partial_matchings, matching_is_valid
 from gramsem.pregroup import (BasicType, CompoundType, Cup, ReductionDiagram,
                               SimpleType, TypeSyntaxError, adjoint_of,
@@ -304,3 +306,21 @@ def test_enumeration_matches_oracle_and_replays(source):
         assert list(iter_reductions(source, residual)) == diagrams
         for d in diagrams:
             assert replay_innermost_first(d) == residual
+            # the search builds its diagrams unchecked: each must be the
+            # one the checking public constructor builds
+            checked = ReductionDiagram(d.source, d.cups)
+            assert d == checked and hash(d) == hash(checked)
+            assert type(d.cups) is tuple
+            assert all(type(c) is Cup for c in d.cups)
+            assert all(a < b for a, b in zip(d.cups, d.cups[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(compound_types)
+def test_lifted_plans_match_the_checked_plan(source):
+    # one dim per basic type: the checked plan rejects a cup across spaces
+    assignment = {"a": VectorSpace("a", 2), "b": VectorSpace("b", 3)}
+    for residual in oracle_groups(source):
+        for d in iter_reductions(source, residual):
+            assert lift_reduction(assignment, d) == ContractionPlan(
+                spaces_of(assignment, d.source), d.cups)
