@@ -3,25 +3,26 @@
 Exit codes are uniform across subcommands: 0 success, 1 domain failure
 (no parse, unknown word, unreadable corpus), 2 usage or config error.
 Stdout carries data only; diagnostics go to stderr.
+
+Only the grammar half loads at import.  Each subcommand imports what it
+uses, so ``reduce`` and ``vectors`` run without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from importlib import resources
-from itertools import product
+from typing import TYPE_CHECKING
 
-from . import linalg, monotone, oracle
-from .corpus import (ContextConfig, Lexicon, LexiconFormatError,
-                     export_vectors_tsv, load_lexicon, tensor_literal,
-                     tokenize)
-from .functor import (NoParseError, UnknownWordError, enumerate_analyses,
-                      preller_obstruction, sentence_meaning)
 from .pregroup import (BasicType, CompoundType, ReductionDiagram, SimpleType,
                        TypeSyntaxError, enumerate_reductions, parse_type_expr)
+
+if TYPE_CHECKING:
+    import random
+
+    from .corpus import Lexicon
+    from .monotone import MonotoneMap
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -29,6 +30,7 @@ EXIT_USAGE = 2
 
 
 def default_lexicon_path() -> str:
+    from importlib import resources
     return str(resources.files("gramsem").joinpath("data/toy_lexicon.json"))
 
 
@@ -44,7 +46,7 @@ def render_reduction(d: ReductionDiagram) -> str:
         col += len(tok) + 1
     width = col - 1
     centers = [starts[p] + (len(tokens[p]) - 1) // 2 for p in range(len(tokens))]
-    cups = list(d.sorted_cups)
+    cups = list(d.cups)
     by_span = sorted(cups, key=lambda c: c[1] - c[0])
     depth = {}
     for c in by_span:
@@ -111,7 +113,7 @@ def cmd_reduce(args) -> int:
             "source": str(source),
             "target": str(target),
             "reductions": [
-                {"cups": [list(c) for c in d.sorted_cups],
+                {"cups": [list(c) for c in d.cups],
                  "residual": str(d.residual)}
                 for d in diagrams
             ],
@@ -121,15 +123,19 @@ def cmd_reduce(args) -> int:
         if not diagrams:
             print(f"no reduction from '{source}' to '{target or '1'}'")
         for k, d in enumerate(diagrams):
-            cups = ", ".join(f"({i},{j})" for i, j in d.sorted_cups) or "(none)"
+            cups = ", ".join(f"({i},{j})" for i, j in d.cups) or "(none)"
             print(f"reduction {k}: cups {cups}")
             print(render_reduction(d))
     return EXIT_OK if diagrams else EXIT_DOMAIN
 
 
 def cmd_meaning(args) -> int:
+    from .corpus import LexiconFormatError, load_lexicon, tensor_literal
+    from .functor import (NoParseError, UnknownWordError, enumerate_analyses,
+                          sentence_meaning)
+    path = default_lexicon_path() if args.lexicon is None else args.lexicon
     try:
-        lexicon = load_lexicon(args.lexicon)
+        lexicon = load_lexicon(path)
     except OSError as exc:
         print(f"cannot read lexicon: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -147,7 +153,7 @@ def cmd_meaning(args) -> int:
                 return EXIT_DOMAIN
             for k, a in enumerate(analyses):
                 types = " . ".join(str(e.gtype) for e in a.words)
-                cups = ", ".join(f"({i},{j})" for i, j in a.chosen.sorted_cups)
+                cups = ", ".join(f"({i},{j})" for i, j in a.chosen.cups)
                 print(f"parse {k}: types [{types}] cups [{cups}] "
                       f"meaning {a.meaning.flat}")
             return EXIT_OK
@@ -158,7 +164,7 @@ def cmd_meaning(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN
     if args.json:
-        doc = {"parse": [list(c) for c in analysis.chosen.sorted_cups],
+        doc = {"parse": [list(c) for c in analysis.chosen.cups],
                "meaning": tensor_literal(analysis.meaning)}
         print(json.dumps(doc, indent=2, allow_nan=False))
         return EXIT_OK
@@ -176,6 +182,7 @@ def cmd_meaning(args) -> int:
 
 
 def cmd_vectors(args) -> int:
+    from .counting import ContextConfig, export_vectors_tsv, tokenize
     try:
         with open(args.contexts, "r", encoding="utf-8") as fh:
             context_words = [line.strip() for line in fh if line.strip()]
@@ -193,15 +200,18 @@ def cmd_vectors(args) -> int:
     return EXIT_OK
 
 
-def seeded_monotone_maps(count: int, seed: int) -> list[monotone.MonotoneMap]:
+def seeded_monotone_maps(count: int, seed: int) -> list[MonotoneMap]:
     """Reproducible monotone unbounded staircase maps m -> a*(m//d) + b."""
+    import random
+
+    from .monotone import MonotoneMap
     rng = random.Random(seed)
     maps = []
     for k in range(count):
         a = rng.randint(1, 5)
         d = rng.randint(1, 4)
         b = rng.randint(-20, 20)
-        maps.append(monotone.MonotoneMap(
+        maps.append(MonotoneMap(
             lambda m, a=a, b=b, d=d: a * (m // d) + b,
             name=f"stair(a={a}, d={d}, b={b})"))
     return maps
@@ -212,7 +222,9 @@ def seeded_lexicon(rng: random.Random, length: int) -> tuple[Lexicon, list]:
     the sentence of those words.  Basic types a and b get dims 1..3;
     readings are up to three simples with exponents -1..1, at most seven
     simples per reading combination; data is integers 0..3."""
-    spaces = {b: linalg.VectorSpace(b, rng.randint(1, 3)) for b in "ab"}
+    from .corpus import Lexicon
+    from .linalg import VectorSpace
+    spaces = {b: VectorSpace(b, rng.randint(1, 3)) for b in "ab"}
     lexicon = Lexicon(spaces)
     budget = 7
     for k in range(length):
@@ -239,6 +251,11 @@ def _report(rows) -> int:
 
 
 def cmd_verify(args) -> int:
+    import random
+    from itertools import product
+
+    from . import linalg, monotone, oracle
+    from .functor import preller_obstruction
     if args.suite == "yanking":
         dims = _parse_range(args.dims or "1..16")
         rows = [(f"yanking dim={d}", linalg.yanking_check(d, tol=0.0))
@@ -316,6 +333,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .corpus import load_lexicon
+    from .functor import enumerate_analyses
     lexicon = load_lexicon(default_lexicon_path())
     analyses = enumerate_analyses(["bananas", "are", "fruit"], lexicon,
                                   lexicon.functor_assignment())
@@ -362,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("meaning", help="compute a sentence meaning tensor")
     p.add_argument("words", nargs="+", help="sentence words, in order")
-    p.add_argument("--lexicon", default=default_lexicon_path(),
+    p.add_argument("--lexicon",
                    help="lexicon JSON path (default: bundled toy lexicon)")
     p.add_argument("--target", default="s", help="target type (default: s)")
     p.add_argument("--parse-index", type=_at_least(0), default=0,

@@ -127,7 +127,7 @@ def reduction_disagreement(source: CompoundType) -> str | None:
             groups.setdefault(residual, []).append(pairs)
     groups.setdefault(CompoundType((SimpleType(BasicType("q")),)), [])
     for target, expected in groups.items():
-        got = [d.sorted_cups for d in enumerate_reductions(source, target)]
+        got = [d.cups for d in enumerate_reductions(source, target)]
         if got != sorted(expected):
             return (f"enumerate_reductions from {source} to {target or '1'}: "
                     f"{got}, expected {sorted(expected)}")
@@ -161,7 +161,7 @@ def contraction_disagreement(lexicon, words) -> str | None:
             expected.setdefault(diagram.residual, []).append(
                 (combo, pairs) + want)
     for target, cases in expected.items():
-        got = [(a.words, a.chosen.sorted_cups, a.meaning.dims, a.meaning.flat)
+        got = [(a.words, a.chosen.cups, a.meaning.dims, a.meaning.flat)
                for a in enumerate_analyses(words, lexicon, assignment, target)]
         if got != cases:
             return f"enumerate_analyses to {target or '1'}: {got}, expected {cases}"

@@ -14,7 +14,7 @@ Public constructors validate everything; search-built diagrams are
 trusted, and are re-checked by tests and by :mod:`gramsem.oracle`.
 
 >>> src = parse_type_expr("n n^r s n^l n")
->>> [d.sorted_cups for d in enumerate_reductions(src, parse_type_expr("s"))]
+>>> [d.cups for d in enumerate_reductions(src, parse_type_expr("s"))]
 [((0, 1), (3, 4))]
 """
 
@@ -268,11 +268,6 @@ class ReductionDiagram:
         return d
 
     @property
-    def sorted_cups(self) -> tuple[Cup, ...]:
-        """The cups, sorted at construction: the canonical ordering key."""
-        return self.cups
-
-    @property
     def residual(self) -> CompoundType:
         """Unmatched positions of the source, in original order."""
         matched = {p for c in self.cups for p in c}
@@ -371,7 +366,7 @@ def enumerate_reductions(source: CompoundType,
     :func:`iter_reductions`, as a list.
 
     >>> src = parse_type_expr("n n^l n n^l n")
-    >>> [d.sorted_cups for d in enumerate_reductions(src, src[2:], limit=1)]
+    >>> [d.cups for d in enumerate_reductions(src, src[2:], limit=1)]
     [((1, 2),)]
     """
     if limit is not None and limit < 1:

@@ -60,10 +60,10 @@ def test_c1_golden_worked_example(capsys):
 def test_c2_grammar_fixtures():
     adjective = enumerate_reductions(parse_type_expr("n n^l n"),
                                      parse_type_expr("n"))
-    assert [d.sorted_cups for d in adjective] == [((1, 2),)]
+    assert [d.cups for d in adjective] == [((1, 2),)]
     sentence = enumerate_reductions(parse_type_expr("n n^r s n^l n"),
                                     parse_type_expr("s"))
-    assert [d.sorted_cups for d in sentence] == [((0, 1), (3, 4))]
+    assert [d.cups for d in sentence] == [((0, 1), (3, 4))]
 
 
 @report(3, "yanking suite: dims 1..16 exact (tolerance 0), < 1 s")
@@ -158,7 +158,7 @@ def test_c8_ambiguity_fixture(ambiguous_lexicon, ambiguous_expected):
     assert len(analyses) == len(expected) and len(analyses) >= 2
     for analysis, exp in zip(analyses, expected):
         assert [str(e.gtype) for e in analysis.words] == exp["types"]
-        assert [list(c) for c in analysis.chosen.sorted_cups] == exp["cups"]
+        assert [list(c) for c in analysis.chosen.cups] == exp["cups"]
         assert list(analysis.meaning.dims) == exp["meaning"]["dims"]
         assert analysis.meaning.flat == [float(x) for x in exp["meaning"]["data"]]
     assert len({tuple(a.meaning.flat) for a in analyses}) >= 2

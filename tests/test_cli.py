@@ -300,7 +300,7 @@ class TestMeaning:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.66 GiB for an array")
 
-        monkeypatch.setattr("gramsem.cli.sentence_meaning", exhausted)
+        monkeypatch.setattr("gramsem.functor.sentence_meaning", exhausted)
         assert main(["meaning", "bananas", "are", "fruit"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

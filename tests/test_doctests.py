@@ -5,11 +5,13 @@ import doctest
 import pytest
 
 import gramsem.corpus
+import gramsem.counting
 import gramsem.linalg
 import gramsem.monotone
 import gramsem.pregroup
 
-MODULES = [gramsem.pregroup, gramsem.monotone, gramsem.linalg, gramsem.corpus]
+MODULES = [gramsem.pregroup, gramsem.monotone, gramsem.linalg, gramsem.counting,
+           gramsem.corpus]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -91,7 +91,7 @@ class TestSentenceMeaning:
         a = sentence_meaning(["bananas", "are", "fruit"], toy_lexicon,
                              toy_lexicon.functor_assignment())
         assert a.meaning.item() == 1074
-        assert a.chosen.sorted_cups == ((0, 1), (3, 4))
+        assert a.chosen.cups == ((0, 1), (3, 4))
         assert a.concat_type == parse_type_expr("n n^r s n^l n")
 
     def test_identity_adjective_fixes_noun(self, toy_lexicon):
@@ -154,7 +154,7 @@ class TestAmbiguity:
         assert len(analyses) == len(ambiguous_expected["parses"]) >= 2
         for analysis, expected in zip(analyses, ambiguous_expected["parses"]):
             assert [str(e.gtype) for e in analysis.words] == expected["types"]
-            assert [list(c) for c in analysis.chosen.sorted_cups] == \
+            assert [list(c) for c in analysis.chosen.cups] == \
                 expected["cups"]
             assert list(analysis.meaning.dims) == expected["meaning"]["dims"]
             assert analysis.meaning.flat == [
@@ -216,13 +216,13 @@ class TestScaling:
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
         readings = [ambiguous_lexicon.entries_for(w) for w in self.WORDS]
         keys = [(tuple(r.index(e) for r, e in zip(readings, a.words)),
-                 a.chosen.sorted_cups) for a in analyses]
+                 a.chosen.cups) for a in analyses]
         assert keys == sorted(set(keys))
         for a in analyses:
             label = list(range(len(a.concat_type)))
-            for i, j in a.chosen.sorted_cups:
+            for i, j in a.chosen.cups:
                 label[j] = i
-            matched = {p for cup in a.chosen.sorted_cups for p in cup}
+            matched = {p for cup in a.chosen.cups for p in cup}
             operands, start = [], 0
             for e in a.words:
                 operands += [e.state.array, label[start:start + e.state.rank]]
@@ -240,7 +240,7 @@ class TestScaling:
             got = sentence_meaning(self.WORDS, ambiguous_lexicon, assignment,
                                    parse_index=k)
             assert got.words == want.words
-            assert got.chosen.sorted_cups == want.chosen.sorted_cups
+            assert got.chosen.cups == want.chosen.cups
             assert got.meaning == want.meaning
         # the parse stream stops at the chosen parse: parse 0 pulls one
         # diagram, and an index past the end pulls every one of the 42

@@ -158,7 +158,7 @@ class TestDiagramInvariants:
         assert type(d.cups) is tuple
         assert all(type(c) is Cup for c in d.cups)
         assert d.cups[1].left_pos == 3 and d.cups[1].right_pos == 6
-        assert repr(d.sorted_cups) == "((0, 1), (3, 6), (4, 5))"
+        assert repr(d.cups) == "((0, 1), (3, 6), (4, 5))"
         assert str(d) == "n n^r s n^l n^l n n --[(0, 1), (3, 6), (4, 5)]--> s"
         assert enumerate_reductions(src, ct("s")) == [d]
 
@@ -166,12 +166,12 @@ class TestDiagramInvariants:
 class TestEnumerate:
     def test_adjective_reduces_to_noun(self):
         out = enumerate_reductions(ct("n n^l n"), ct("n"))
-        assert [d.sorted_cups for d in out] == [((1, 2),)]
+        assert [d.cups for d in out] == [((1, 2),)]
         assert out[0].residual == ct("n")
 
     def test_transitive_sentence_reduces_to_s(self):
         out = enumerate_reductions(ct("n n^r s n^l n"), ct("s"))
-        assert [d.sorted_cups for d in out] == [((0, 1), (3, 4))]
+        assert [d.cups for d in out] == [((0, 1), (3, 4))]
 
     def test_unreducible_gives_empty_list(self):
         assert enumerate_reductions(ct("n"), ct("s")) == []
@@ -185,7 +185,7 @@ class TestEnumerate:
         # two cup sites for the same residual: attach either adjective slot
         src = ct("n n^l n n^l n")
         full = enumerate_reductions(src, ct("n n^l n"))
-        assert [d.sorted_cups for d in full] == [((1, 2),), ((3, 4),)]
+        assert [d.cups for d in full] == [((1, 2),), ((3, 4),)]
         assert enumerate_reductions(src, ct("n n^l n"), limit=1) == full[:1]
         with pytest.raises(ValueError):
             enumerate_reductions(src, ct("n n^l n"), limit=0)
@@ -196,9 +196,9 @@ class TestEnumerate:
         a = enumerate_reductions(src, target)
         b = enumerate_reductions(src, target)
         assert len(a) >= 3
-        assert [d.sorted_cups for d in a] == [d.sorted_cups for d in b]
-        assert [d.sorted_cups for d in a] == \
-            sorted(d.sorted_cups for d in a)
+        assert [d.cups for d in a] == [d.cups for d in b]
+        assert [d.cups for d in a] == \
+            sorted(d.cups for d in a)
 
     @pytest.mark.parametrize("j", range(6))
     def test_limit_keeps_a_prefix(self, j):
@@ -224,7 +224,7 @@ class TestEnumerate:
         start = time.perf_counter()
         out = enumerate_reductions(src, ct("s"))
         elapsed = time.perf_counter() - start
-        assert [d.sorted_cups for d in out] == \
+        assert [d.cups for d in out] == \
             [((0, 1),) + tuple((p, p + 1) for p in range(3, 1000, 2))]
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
@@ -235,7 +235,7 @@ class TestEnumerate:
         pr = SimpleType(N, z + 1)
 
         def cups_of(simples, residual):
-            return [d.sorted_cups for d in
+            return [d.cups for d in
                     enumerate_reductions(CompoundType(simples),
                                          CompoundType(residual))]
 
@@ -249,7 +249,7 @@ def replay_innermost_first(d):
     """Apply the cups one at a time, shortest span first, insisting the two
     ends are adjacent once inner cups are gone."""
     alive = list(range(len(d.source)))
-    for i, j in sorted(d.sorted_cups, key=lambda c: c[1] - c[0]):
+    for i, j in sorted(d.cups, key=lambda c: c[1] - c[0]):
         ii = alive.index(i)
         assert alive[ii + 1] == j, f"cup ({i}, {j}) not adjacent after inner removal"
         assert can_contract(d.source[i], d.source[j])
@@ -279,7 +279,7 @@ class TestAgainstBruteForce:
                 source = CompoundType(combo)
                 groups = oracle_groups(source)
                 for residual, expected in groups.items():
-                    got = [d.sorted_cups
+                    got = [d.cups
                            for d in enumerate_reductions(source, residual)]
                     assert got == sorted(expected), str(source)
                 absent = CompoundType((SimpleType(BasicType("zz")),))
@@ -299,7 +299,7 @@ def test_enumeration_matches_oracle_and_replays(source):
     groups = oracle_groups(source)
     for residual, expected in groups.items():
         diagrams = enumerate_reductions(source, residual)
-        assert [d.sorted_cups for d in diagrams] == sorted(expected)
+        assert [d.cups for d in diagrams] == sorted(expected)
         for k in range(1, len(diagrams) + 1):
             assert enumerate_reductions(source, residual, limit=k) == \
                 diagrams[:k]
