@@ -7,9 +7,11 @@ sorted tuple of non-crossing "cups", ``(i, j)`` position pairs, each
 cancelling an adjacent-after-inner-removal pair ``x . x^r`` or ``x^l . x``.
 The search keeps one memoised count, the reductions of each span of the
 source to a suffix of the target (the counting semiring over cubic
-pregroup spans), and one generator that follows it in canonical order,
-entering no span that holds none.  :func:`iter_reductions` yields the
-reductions lazily; :func:`enumerate_reductions` lists a prefix of them.
+pregroup spans).  One loop with an explicit stack walks those counts
+depth first in canonical order, entering no span that holds none and
+listing a span's moves only once it backtracks there.
+:func:`iter_reductions` yields the reductions lazily;
+:func:`enumerate_reductions` lists a prefix of them.
 Public constructors validate everything; search-built diagrams are
 trusted, and are re-checked by tests and by :mod:`gramsem.oracle`.
 
@@ -286,10 +288,16 @@ def iter_reductions(source: CompoundType,
 
     The search is exhaustive; an unreducible pair yields nothing.  One
     memoised count gives the number of reductions of each span of
-    ``source`` to a suffix of ``target``, and one generator follows those
-    counts in the canonical order, entering no branch whose count is 0.
-    Reductions are never sorted, so the first ``k`` cost ``k`` paths plus
-    the chart of counts, and a caller that stops early stops the search.
+    ``source`` to a suffix of ``target``.  One loop walks those counts
+    depth first in the canonical order, entering no branch whose count is
+    0: each span takes its first such move (a cup at its left end, else
+    leaving that end a residual wire) and keeps a choice point on an
+    explicit stack when the count shows another.  A span's full list of
+    moves is built the first time the walk backtracks into it (at once,
+    when the count shows it has one move), memoised, and reused on later
+    visits.  Reductions are never sorted, so the first ``k`` cost ``k``
+    paths plus the chart of counts, and a caller that stops early stops
+    the search.
     """
     n, m = len(source), len(target)
     if (n - m) % 2 != 0 or n < m:
@@ -334,29 +342,77 @@ def iter_reductions(source: CompoundType,
             memo[key] = total
         return total
 
+    def list_moves(lo: int, hi: int, t: int) -> list:
+        """The moves of ``src[lo:hi]`` to ``tgt[t:]`` that have a reduction
+        after them, in order: its cups ``(lo, q)``, then ``None`` if ``lo``
+        may be a residual wire."""
+        moves = []
+        for q in partners[lo]:
+            if q >= hi:
+                break
+            if count(lo + 1, q, m) and count(q + 1, hi, t):
+                moves.append(Cup(lo, q))
+        if t < m and src[lo] == tgt[t] and count(lo + 1, hi, t + 1):
+            moves.append(None)
+        return moves
+
+    if not count(0, n, 0):
+        return
+    listed = {}  # memo key -> the span's moves, in order (see list_moves)
     cups: list[Cup] = []  # the preorder walk appends them in sorted order
-
-    def fill(lo: int, hi: int, t: int):
-        """Yield once per reduction of ``src[lo:hi]`` to ``tgt[t:]``, its
-        cups appended to ``cups``; a cup at ``lo`` sorts before leaving
-        ``lo`` a residual wire."""
-        while hi - lo > m - t:
-            for q in partners[lo]:
-                if q >= hi:
-                    break
-                if count(lo + 1, q, m) and count(q + 1, hi, t):
-                    cups.append(Cup(lo, q))
-                    for _ in fill(lo + 1, q, m):
-                        yield from fill(q + 1, hi, t)
-                    cups.pop()
-            if not (t < m and src[lo] == tgt[t] and count(lo + 1, hi, t + 1)):
+    # choice points, latest last: (moves, index of the next one, lo, hi, t,
+    # rest, len(cups)), moves None until the walk first backtracks there
+    choices = []
+    span = (0, n, 0, None)  # spans left to fill: (lo, hi, t, rest), linked
+    while True:
+        if span is not None:  # take the span's first move
+            lo, hi, t, rest = span
+            if hi - lo <= m - t:  # no room for a cup: all residual
+                span = rest
+                continue
+            key = lo * per_lo + hi * per_hi + t
+            moves = listed.get(key)
+            if moves is not None:
+                move = moves[0]
+                if len(moves) > 1:
+                    choices.append((moves, 1, lo, hi, t, rest, len(cups)))
+            else:
+                move = None
+                for q in partners[lo]:
+                    if q >= hi:
+                        break
+                    inner = count(lo + 1, q, m)
+                    if inner:
+                        outer = count(q + 1, hi, t)
+                        if outer:
+                            move, taken = Cup(lo, q), inner * outer
+                            break
+                if move is None:
+                    taken = count(lo + 1, hi, t + 1)
+                if taken == memo[key]:  # the span's only move
+                    listed[key] = [move]
+                else:
+                    choices.append((None, 1, lo, hi, t, rest, len(cups)))
+        else:  # every span filled: one reduction; backtrack for the next
+            yield ReductionDiagram._trusted(source, tuple(cups))
+            if not choices:
                 return
-            lo, t = lo + 1, t + 1  # lo is a residual wire
-        if t == m or src[lo:hi] == tgt[t:]:  # no room for a cup: all residual
-            yield
-
-    for _ in fill(0, n, 0):
-        yield ReductionDiagram._trusted(source, tuple(cups))
+            moves, i, lo, hi, t, rest, k = choices.pop()
+            if moves is None:
+                moves = listed[lo * per_lo + hi * per_hi + t] = \
+                    list_moves(lo, hi, t)
+            if i + 1 < len(moves):
+                choices.append((moves, i + 1, lo, hi, t, rest, k))
+            del cups[k:]
+            move = moves[i]
+        if move is None:  # lo is a residual wire
+            span = (lo + 1, hi, t + 1, rest)
+        else:
+            cups.append(move)
+            q = move[1]
+            span = (q + 1, hi, t, rest)
+            if q > lo + 1:
+                span = (lo + 1, q, m, span)
 
 
 def enumerate_reductions(source: CompoundType,

@@ -86,6 +86,15 @@ class TestStartup:
         assert (done.returncode, done.stdout, done.stderr) == \
             (0, capsys.readouterr().out, "")
 
+    def test_verify_galois_leaves_numpy_out(self, capsys):
+        # the galois suite needs only monotone; the other suites' imports
+        # are their own
+        argv = ["verify", "galois", "--window=-5..5"]
+        assert main(argv) == 0
+        done = _fresh("-c", PROBE, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (0, capsys.readouterr().out, "")
+
     def test_vectors_leaves_numpy_out(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("Sweet banana, sweet green apple.", encoding="utf-8")

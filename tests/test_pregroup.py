@@ -1,6 +1,7 @@
 """Free pregroup types, the expression parser, and the reduction search."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -245,6 +246,47 @@ class TestEnumerate:
         assert cups_of([pl, p, pl], [pl]) == [((0, 1),)]
 
 
+PP_CHAIN = "n n^r s n^l n"  # + " n^r n n^l n" * j: Catalan(j) reductions to s
+
+
+class TestWalk:
+    """The explicit-stack walk: its state belongs to one iterator, and it
+    lists every reduction, as the public constructor builds it."""
+
+    def test_interleaved_iterators_match_a_single_one(self):
+        for src, target in [(ct(PP_CHAIN + " n^r n n^l n" * 5), ct("s")),
+                            (ct("n n^l n n^l n n^l n"), ct("n n^l n"))]:
+            single = list(iter_reductions(src, target))
+            a, b = iter_reductions(src, target), iter_reductions(src, target)
+            got_a, got_b = [], []
+            for d in a:  # two steps of a for each step of b
+                got_a.append(d)
+                if len(got_a) % 2 == 0:
+                    got_b.append(next(b))
+            got_b.extend(b)
+            assert len(single) > 2
+            assert got_a == single and got_b == single
+
+    def test_an_abandoned_iterator_leaves_fresh_ones_alone(self):
+        src, target = ct(PP_CHAIN + " n^r n n^l n" * 6), ct("s")
+        full = list(iter_reductions(src, target))
+        abandoned = iter_reductions(src, target)
+        head = list(itertools.islice(abandoned, 50))
+        assert head == full[:50]
+        assert list(iter_reductions(src, target)) == full
+        assert list(abandoned) == full[50:]
+
+    @pytest.mark.parametrize("j", range(9))
+    def test_pp_chains_give_catalan_counts(self, j):
+        src = ct(PP_CHAIN + " n^r n n^l n" * j)
+        out = list(iter_reductions(src, ct("s")))
+        assert len(out) == [1, 1, 2, 5, 14, 42, 132, 429, 1430][j]
+        assert [d.cups for d in out] == sorted({d.cups for d in out})
+        for d in out:
+            assert d == ReductionDiagram(src, d.cups)
+            assert all(type(c) is Cup for c in d.cups)
+
+
 def replay_innermost_first(d):
     """Apply the cups one at a time, shortest span first, insisting the two
     ends are adjacent once inner cups are gone."""
@@ -284,6 +326,33 @@ class TestAgainstBruteForce:
                     assert got == sorted(expected), str(source)
                 absent = CompoundType((SimpleType(BasicType("zz")),))
                 assert enumerate_reductions(source, absent) == []
+
+
+    def test_seeded_sources_with_interleaved_residual_wires(self):
+        # redex pairs and lone wires inserted at random places: residual
+        # wires land between, under and beside cups, at lengths 9 to 11
+        alphabet = [SimpleType(b, z) for b in (BasicType("a"), BasicType("b"))
+                    for z in (-1, 0, 1)]
+        interleaved = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            length, simples = 9 + seed % 3, []
+            while len(simples) < length:
+                x, at = rng.choice(alphabet), rng.randint(0, len(simples))
+                if length - len(simples) >= 2 and rng.random() < 0.7:
+                    simples[at:at] = [x, adjoint_of(x, "right")]
+                else:
+                    simples.insert(at, x)
+            source = CompoundType(simples)
+            for residual, expected in oracle_groups(source).items():
+                got = [d.cups for d in iter_reductions(source, residual)]
+                assert got == sorted(expected), str(source)
+                for cups in filter(None, got):  # a residual wire between cups?
+                    matched = {p for c in cups for p in c}
+                    interleaved += any(
+                        p not in matched and cups[0][0] < p < cups[-1][0]
+                        for p in range(length))
+        assert interleaved >= 12
 
 
 simple_types = st.builds(
