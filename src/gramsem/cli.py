@@ -76,14 +76,6 @@ def _print_syntax_error(exc: TypeSyntaxError, stream):
     print("  " + " " * exc.position + "^", file=stream)
 
 
-def _parse_expr_or_exit(text: str) -> CompoundType:
-    try:
-        return parse_type_expr(text)
-    except TypeSyntaxError as exc:
-        _print_syntax_error(exc, sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _parse_range(text: str) -> range:
     """'3' -> range(3, 4); '1..8' -> range(1, 9); an empty range is an
     error, so a suite never passes by checking nothing."""
@@ -105,8 +97,8 @@ def _at_least(low: int):
 
 
 def cmd_reduce(args) -> int:
-    source = _parse_expr_or_exit(args.type_expr)
-    target = _parse_expr_or_exit(args.target)
+    source = parse_type_expr(args.type_expr)
+    target = parse_type_expr(args.target)
     diagrams = enumerate_reductions(source, target)
     if args.json:
         doc = {
@@ -142,7 +134,7 @@ def cmd_meaning(args) -> int:
     except LexiconFormatError as exc:
         print(f"bad lexicon: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    target = _parse_expr_or_exit(args.target)
+    target = parse_type_expr(args.target)
     assignment = lexicon.functor_assignment()
     try:
         if args.list_parses:
@@ -432,8 +424,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except TypeSyntaxError as exc:
+        _print_syntax_error(exc, sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
@@ -442,8 +435,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_DOMAIN
     except RecursionError:
-        print("input nested too deeply: the search ran out of stack",
-              file=sys.stderr)
+        print("input too long or too deeply nested: the reduction search "
+              "ran out of stack", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -73,9 +73,6 @@ class Lexicon:
         self.spaces: dict[str, VectorSpace] = dict(spaces or {})
         self._entries: dict[str, list[LexiconEntry]] = {}
 
-    def register_space(self, name: str, space: VectorSpace):
-        self.spaces[name] = space
-
     def functor_assignment(self) -> dict[str, VectorSpace]:
         """A copy of the space registry: the functor's object part."""
         return dict(self.spaces)

@@ -4,6 +4,7 @@ Fixes the standard orthonormal basis once per space, so duals are
 identified with the spaces themselves: the unit is the Kronecker-delta
 state, the counit is plain index contraction, and bending a wire is a
 reshape.  Data is row-major throughout (leftmost index slowest).
+Contraction plans are planar, so states fold in by matrix products.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .pregroup import check_planar
 
 __all__ = [
     "VectorSpace",
@@ -121,7 +124,8 @@ def scalar(value: float) -> Tensor:
 @dataclass(frozen=True)
 class ContractionPlan:
     """Which index pairs of an input tensor get summed; the cups of a
-    diagram, lifted.  Remaining indices keep their original order."""
+    diagram, lifted, and planar like them.  Remaining indices keep their
+    original order."""
 
     input_spaces: tuple[VectorSpace, ...]
     pairs: frozenset[tuple[int, int]]
@@ -131,21 +135,22 @@ class ContractionPlan:
         pairs = frozenset(tuple(sorted(p)) for p in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         n = len(self.input_spaces)
-        seen = set()
+        partner = {}
         for i, j in pairs:
             if not 0 <= i < j < n:
                 raise ValueError(f"pair ({i}, {j}) out of range for {n} indices")
-            if i in seen or j in seen:
+            if i in partner or j in partner:
                 raise ValueError(f"pair ({i}, {j}) reuses an index")
-            seen.update((i, j))
+            partner[i], partner[j] = j, i
             if self.input_spaces[i].dim != self.input_spaces[j].dim:
                 raise ValueError(
                     f"paired spaces {self.input_spaces[i]} and "
                     f"{self.input_spaces[j]} have different dims")
+        check_planar(n, partner)
 
     @classmethod
     def _trusted(cls, input_spaces, pairs) -> "ContractionPlan":
-        """Unchecked: ``pairs`` already sorted, in range, disjoint, equal-dim."""
+        """Unchecked: ``pairs`` already sorted, in range, disjoint, equal-dim, planar."""
         plan = object.__new__(cls)
         plan.__dict__.update(input_spaces=input_spaces, pairs=pairs)
         return plan
@@ -193,15 +198,15 @@ def contract(t: Tensor, plan: ContractionPlan) -> Tensor:
     return contract_states((t,), plan)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # meanings may overflow
 def contract_states(states, plan: ContractionPlan) -> Tensor:
     """Contract the tensor product of ``states`` along ``plan`` without
     forming that product; ``plan`` indexes the states' concatenated spaces.
 
-    The states are folded in left to right.  The running array has one
-    axis per wire open at the cut, in position order: free wires and cups
-    whose right end lies further on.  Each state costs one two-operand
-    ``einsum`` whose integer labels are local to that step, so no
-    intermediate is larger than the wires crossing a cut.
+    The states are folded in left to right.  As the pairs are planar, the
+    wires open at a cut are the residual wires, then the open cups,
+    innermost last, and a state whose own cups are traced out starts with
+    the cups it closes.  So each state costs one matrix product over them.
 
     >>> n = VectorSpace("n", 2)
     >>> a, b = Tensor((n,), [1, 2]), Tensor((n, n), [[3, 4], [5, 6]])
@@ -217,22 +222,22 @@ def contract_states(states, plan: ContractionPlan) -> Tensor:
     partner = {}
     for i, j in plan.pairs:
         partner[i], partner[j] = j, i
-    acc, open_wires, start = np.ones(()), [], 0
+    acc, start = np.ones(()), 0
     for t in states:
-        stop = start + t.rank
-        label = {p: k for k, p in enumerate(open_wires)}
-        acc_labels = list(label.values())
-        word_labels = []
-        for p in range(start, stop):
+        word, kept, closing = t.array, 0, 0
+        for p in range(start, start + t.rank):
             q = partner.get(p, p)
-            if q >= p:  # a wire opens here; otherwise it closes the cup at q
-                label[p] = len(label)
-            word_labels.append(label[min(p, q)])
-        open_wires = [p for p in open_wires + list(range(start, stop))
-                      if partner.get(p, stop) >= stop]
-        acc = np.einsum(acc, acc_labels, t.array, word_labels,
-                        [label[p] for p in open_wires])
-        start = stop
+            if start <= q < p:  # the state's own cup, on axes kept - 1, kept
+                kept -= 1
+                word = np.trace(word, axis1=kept, axis2=kept + 1)
+            else:
+                kept += 1
+                closing += q < start
+        if closing > 1:  # innermost cup first, as it is last in acc
+            word = np.moveaxis(word, range(closing), range(closing)[::-1])
+        size = math.prod(word.shape[:closing])
+        acc = acc.reshape(-1, size) @ word.reshape(size, -1)
+        start += t.rank
     return Tensor(plan.output_spaces, acc)
 
 

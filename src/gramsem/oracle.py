@@ -5,7 +5,7 @@ enumerating *all* partial matchings of wire positions and filtering them
 against the validity rules written out verbatim, and meanings are evaluated
 by looping over every index assignment of the word-state product.  None
 of these references calls the search code in :mod:`gramsem.pregroup` or
-the einsum path in :mod:`gramsem.linalg`; only the two comparison
+the contraction fold in :mod:`gramsem.linalg`; only the two comparison
 functions do: :func:`reduction_disagreement` checks the reduction search
 against the matchings, and :func:`contraction_disagreement` checks the
 contraction engine and the meaning pipeline against the index sums.

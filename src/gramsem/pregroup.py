@@ -216,6 +216,24 @@ class Cup(NamedTuple):
     __repr__ = tuple.__repr__
 
 
+def check_planar(n: int, partner: dict[int, int]) -> None:
+    """Raise ``ValueError`` unless the pairs over ``range(n)``, each end
+    mapped to the other in ``partner``, cross nowhere and leave no wire
+    under a pair unpaired: the rule for diagram cups and plan pairs alike."""
+    around = []  # one pass left to right: left ends of the pairs over p
+    for p in range(n):
+        q = partner.get(p, p)
+        if q > p:
+            around.append(p)
+        elif q < p:
+            i = around.pop()
+            if i != q:
+                raise ValueError(f"cups ({q}, {p}) and ({i}, {partner[i]}) cross")
+        elif around:
+            raise ValueError(f"wire {p} is trapped under cup "
+                             f"({around[-1]}, {partner[around[-1]]})")
+
+
 @dataclass(frozen=True)
 class ReductionDiagram:
     """A planar set of cups over ``source`` witnessing a reduction to the
@@ -246,21 +264,7 @@ class ReductionDiagram:
                 raise ValueError(
                     f"cup {(i, j)} is not a counit redex: "
                     f"{simples[i]} . {simples[j]}")
-        # one pass left to right; ``around``: left ends of the cups over p
-        around = []
-        for p in range(n):
-            q = partner.get(p)
-            if q is None:
-                if around:
-                    raise ValueError(f"wire {p} is trapped under cup "
-                                     f"({around[-1]}, {partner[around[-1]]})")
-            elif q > p:
-                around.append(p)
-            else:
-                i = around.pop()
-                if i != q:
-                    raise ValueError(
-                        f"cups ({q}, {p}) and ({i}, {partner[i]}) cross")
+        check_planar(n, partner)
 
     @classmethod
     def _trusted(cls, source, cups) -> "ReductionDiagram":

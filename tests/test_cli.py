@@ -168,17 +168,21 @@ class TestReduce:
 
     def test_deep_nesting_exits_1_without_traceback(self, capsys):
         nested = " ".join(["n^l"] * 300 + ["n"] * 300)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(200)
-        try:
-            code = main(["reduce", nested, ""])
-        finally:
-            sys.setrecursionlimit(limit)
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "input nested too deeply: the search ran out of stack\n")
+        # flat, but the search recurses once per sibling cup
+        adverbs = "n n^r s" + " s^r s" * 300
+        for source, target in ((nested, ""), (adverbs, "s")):
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(200)
+            try:
+                code = main(["reduce", source, target])
+            finally:
+                sys.setrecursionlimit(limit)
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "input too long or too deeply nested: the reduction search "
+                "ran out of stack\n")
 
 
 class TestRenderReduction:

@@ -172,7 +172,7 @@ class TestAmbiguity:
 
 
 class TestLongSentences:
-    """Sentences with more simples than einsum has letters (52)."""
+    """Sentences with more than 52 simples or open wires."""
 
     def test_fifty_three_simples(self):
         lex = Lexicon({"n": VectorSpace("n", 2), "s": S})
@@ -185,6 +185,16 @@ class TestLongSentences:
         assert len(a.concat_type) == 53
         # tom . chases . jerry = 1*(3*4 + 0*1) + 2*(1*4 + 5*1) = 30
         assert a.meaning.dims == (1,) and a.meaning.item() == 30 * 2 ** 24
+
+    def test_fifty_three_residual_wires(self):
+        lex = Lexicon({"n": VectorSpace("n", 1)})
+        for k in range(53):
+            lex.add(f"w{k}", "n", [2])
+        words = [f"w{k}" for k in range(53)]
+        a = sentence_meaning(words, lex, lex.functor_assignment(),
+                             target=" ".join(["n"] * 53))
+        assert a.meaning.dims == (1,) * 53
+        assert a.meaning.item() == 2.0 ** 53
 
     def test_sixty_adjectives_and_a_noun(self):
         # 121 simples and 61 distinct wires: 60 cups plus the free noun wire

@@ -148,6 +148,25 @@ class TestContract:
         with pytest.raises(ValueError, match="reuses"):
             ContractionPlan((sp2,) * 3, frozenset({(0, 1), (1, 2)}))
 
+    def test_plan_pairs_are_planar(self):
+        sp2, sp3 = VectorSpace("a", 2), VectorSpace("b", 3)
+        with pytest.raises(ValueError,
+                           match=r"cups \(0, 2\) and \(1, 3\) cross"):
+            ContractionPlan((sp2,) * 4, frozenset({(0, 2), (1, 3)}))
+        with pytest.raises(ValueError,
+                           match=r"wire 1 is trapped under cup \(0, 2\)"):
+            ContractionPlan((sp2,) * 3, frozenset({(0, 2)}))
+        # the range, reuse and dims checks come first
+        with pytest.raises(ValueError, match="out of range"):
+            ContractionPlan((sp2,) * 4, frozenset({(0, 2), (1, 3), (4, 5)}))
+        with pytest.raises(ValueError, match="reuses"):
+            ContractionPlan((sp2,) * 4, frozenset({(0, 2), (1, 3), (2, 3)}))
+        with pytest.raises(ValueError, match="different dims"):
+            ContractionPlan((sp2, sp2, sp2, sp3),
+                            frozenset({(0, 2), (1, 3)}))
+        # nested, adjacent and outer residual wires are planar
+        ContractionPlan((sp2,) * 7, frozenset({(1, 4), (2, 3), (5, 6)}))
+
     def test_space_mismatch(self):
         t = Tensor((N,), [1, 2, 3])
         plan = ContractionPlan((VectorSpace("m", 3),), frozenset())
@@ -155,7 +174,7 @@ class TestContract:
             contract(t, plan)
 
     def test_rank_sixty_with_29_cups(self):
-        # more indices than einsum has letters: positions 0 and 59 stay
+        # one state holding 29 cups of its own: positions 0 and 59 stay
         # free, cups (1, 2), (3, 4), ..., (57, 58); (1, 2) has dim 2
         two, one = VectorSpace("two", 2), VectorSpace("one", 1)
         spaces = (two, two, two) + (one,) * 56 + (two,)
