@@ -178,14 +178,14 @@ def cmd_vectors(args) -> int:
     try:
         with open(args.contexts, "r", encoding="utf-8") as fh:
             context_words = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read context file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     cfg = ContextConfig(tuple(context_words), window=args.window)
     try:
         with open(args.corpus, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     export_vectors_tsv(tokenize(text, cfg), cfg, sys.stdout)

@@ -5,11 +5,11 @@ integer adjoint exponent (``n^l`` is ``-1``, ``n^r`` is ``+1``, repeated
 letters iterate).  A reduction from one compound type to another is a
 sorted tuple of non-crossing "cups", ``(i, j)`` position pairs, each
 cancelling an adjacent-after-inner-removal pair ``x . x^r`` or ``x^l . x``.
-The search keeps one memoised count, the reductions of each span of the
-source to a suffix of the target (the counting semiring over cubic
-pregroup spans).  One loop with an explicit stack walks those counts
-depth first in canonical order, entering no span that holds none and
-listing a span's moves only once it backtracks there.
+The search builds one chart in one memoised pass: for each span of the
+source, the number of its reductions to a suffix of the target (the
+counting semiring over cubic pregroup spans) and the moves that lead to
+one.  One loop with an explicit stack then walks that chart depth first
+in canonical order, only reading it.
 :func:`iter_reductions` yields the reductions lazily;
 :func:`enumerate_reductions` lists a prefix of them.
 Public constructors validate everything; search-built diagrams are
@@ -291,17 +291,15 @@ def iter_reductions(source: CompoundType,
     ``target`` one at a time, lexicographically by their cups.
 
     The search is exhaustive; an unreducible pair yields nothing.  One
-    memoised count gives the number of reductions of each span of
-    ``source`` to a suffix of ``target``.  One loop walks those counts
-    depth first in the canonical order, entering no branch whose count is
-    0: each span takes its first such move (a cup at its left end, else
-    leaving that end a residual wire) and keeps a choice point on an
-    explicit stack when the count shows another.  A span's full list of
-    moves is built the first time the walk backtracks into it (at once,
-    when the count shows it has one move), memoised, and reused on later
-    visits.  Reductions are never sorted, so the first ``k`` cost ``k``
-    paths plus the chart of counts, and a caller that stops early stops
-    the search.
+    memoised pass counts the reductions of each span of ``source`` to a
+    suffix of ``target`` and, as it sums them, lists the span's moves
+    that lead to one: cups at its left end, then leaving that end a
+    residual wire.  The chart is complete before the first yield.  One
+    loop then walks it depth first in the canonical order and only reads
+    it: each span takes its first move and keeps a choice point on an
+    explicit stack when it has another.  Reductions are never sorted, so
+    the first ``k`` cost ``k`` paths plus the chart, and a caller that
+    stops early stops the walk.
     """
     n, m = len(source), len(target)
     if (n - m) % 2 != 0 or n < m:
@@ -320,12 +318,17 @@ def iter_reductions(source: CompoundType,
         partners.append(qs[bisect_right(qs, p):])
 
     memo = {}  # one key per (lo, hi, t): lo * per_lo + hi * per_hi + t
+    # memo key -> the span's moves that have a reduction after them, in
+    # order: its cups (lo, q), then None if lo may stay a residual wire.
+    # Only spans with a move and room for a cup get one: most have none.
+    moves_at = {}
     per_hi = m + 1
     per_lo = (n + 1) * per_hi
 
     def count(lo: int, hi: int, t: int) -> int:
-        """Number of reductions of ``src[lo:hi]`` to ``tgt[t:]``; a closed
-        span, all cups, is ``t == m``."""
+        """Number of reductions of ``src[lo:hi]`` to ``tgt[t:]``, listing
+        the span's moves in ``moves_at`` on the way; a closed span, all
+        cups, is ``t == m``."""
         if lo == hi:
             return 1 if t == m else 0
         key = lo * per_lo + hi * per_hi + t
@@ -338,34 +341,25 @@ def iter_reductions(source: CompoundType,
                     return int(room == 0 and src[lo:hi] == tgt[t:])
                 if src[lo] == tgt[t]:
                     total = count(lo + 1, hi, t + 1)
+            wire = total  # the reductions that leave lo a residual wire
             for q in partners[lo]:
                 if q >= hi:
                     break
                 inner = count(lo + 1, q, m)
-                total += inner and inner * count(q + 1, hi, t)
+                outer = inner and count(q + 1, hi, t)
+                if outer:
+                    total += inner * outer
+                    moves_at.setdefault(key, []).append(Cup(lo, q))
+            if wire:
+                moves_at.setdefault(key, []).append(None)
             memo[key] = total
         return total
 
-    def list_moves(lo: int, hi: int, t: int) -> list:
-        """The moves of ``src[lo:hi]`` to ``tgt[t:]`` that have a reduction
-        after them, in order: its cups ``(lo, q)``, then ``None`` if ``lo``
-        may be a residual wire."""
-        moves = []
-        for q in partners[lo]:
-            if q >= hi:
-                break
-            if count(lo + 1, q, m) and count(q + 1, hi, t):
-                moves.append(Cup(lo, q))
-        if t < m and src[lo] == tgt[t] and count(lo + 1, hi, t + 1):
-            moves.append(None)
-        return moves
-
     if not count(0, n, 0):
         return
-    listed = {}  # memo key -> the span's moves, in order (see list_moves)
     cups: list[Cup] = []  # the preorder walk appends them in sorted order
     # choice points, latest last: (moves, index of the next one, lo, hi, t,
-    # rest, len(cups)), moves None until the walk first backtracks there
+    # rest, len(cups))
     choices = []
     span = (0, n, 0, None)  # spans left to fill: (lo, hi, t, rest), linked
     while True:
@@ -374,37 +368,15 @@ def iter_reductions(source: CompoundType,
             if hi - lo <= m - t:  # no room for a cup: all residual
                 span = rest
                 continue
-            key = lo * per_lo + hi * per_hi + t
-            moves = listed.get(key)
-            if moves is not None:
-                move = moves[0]
-                if len(moves) > 1:
-                    choices.append((moves, 1, lo, hi, t, rest, len(cups)))
-            else:
-                move = None
-                for q in partners[lo]:
-                    if q >= hi:
-                        break
-                    inner = count(lo + 1, q, m)
-                    if inner:
-                        outer = count(q + 1, hi, t)
-                        if outer:
-                            move, taken = Cup(lo, q), inner * outer
-                            break
-                if move is None:
-                    taken = count(lo + 1, hi, t + 1)
-                if taken == memo[key]:  # the span's only move
-                    listed[key] = [move]
-                else:
-                    choices.append((None, 1, lo, hi, t, rest, len(cups)))
+            moves = moves_at[lo * per_lo + hi * per_hi + t]
+            move = moves[0]
+            if len(moves) > 1:
+                choices.append((moves, 1, lo, hi, t, rest, len(cups)))
         else:  # every span filled: one reduction; backtrack for the next
             yield ReductionDiagram._trusted(source, tuple(cups))
             if not choices:
                 return
             moves, i, lo, hi, t, rest, k = choices.pop()
-            if moves is None:
-                moves = listed[lo * per_lo + hi * per_hi + t] = \
-                    list_moves(lo, hi, t)
             if i + 1 < len(moves):
                 choices.append((moves, i + 1, lo, hi, t, rest, k))
             del cups[k:]

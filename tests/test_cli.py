@@ -353,6 +353,21 @@ class TestVectors:
         assert main(["vectors", str(tmp_path / "nope.txt"),
                      "--contexts", str(contexts)]) == 1
 
+    @pytest.mark.parametrize("bad, message", [
+        ("corpus", "cannot read corpus: "),
+        ("contexts", "cannot read context file: ")],
+        ids=["corpus", "contexts"])
+    def test_non_utf8_input_exits_1(self, capsys, tmp_path, bad, message):
+        paths = {}
+        for name in ("corpus", "contexts"):
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_bytes(b"caf\xe9 cat\n" if name == bad
+                                    else b"cat\n")
+        assert main(["vectors", str(paths["corpus"]),
+                     "--contexts", str(paths["contexts"])]) == 1
+        assert capsys.readouterr().err.startswith(
+            message + "'utf-8' codec can't decode byte 0xe9")
+
 
 class TestVerifyAndDemo:
     def test_verify_yanking(self, capsys):
