@@ -71,8 +71,10 @@ def render_reduction(d: ReductionDiagram) -> str:
 
 
 def _print_syntax_error(exc: TypeSyntaxError, stream):
+    # whitespace echoes as one space each, so the caret lines up under the error
     print(f"syntax error: {exc}", file=stream)
-    print("  " + exc.text, file=stream)
+    print("  " + "".join(" " if c.isspace() else c for c in exc.text),
+          file=stream)
     print("  " + " " * exc.position + "^", file=stream)
 
 

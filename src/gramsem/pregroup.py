@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_TOKEN_RE = re.compile(r"\S+")
+_SIMPLE_RE = re.compile(rf"({_NAME_RE.pattern})(\^[lr]*)?")
 
 
 class TypeSyntaxError(ValueError):
@@ -161,48 +163,38 @@ class CompoundType:
 
 def parse_type_expr(text: str) -> CompoundType:
     """Parse the concrete syntax ``NAME('^'('l'|'r')+)?`` separated by
-    whitespace; empty text is the unit.  Repeated adjoint letters iterate,
-    net exponent = (#r - #l).
+    whitespace (any character for which ``str.isspace()`` is true); outer
+    whitespace is ignored and blank text is the unit.  Repeated adjoint
+    letters iterate, net exponent = (#r - #l).
 
     >>> parse_type_expr("n n^l")
     CompoundType('n n^l')
     >>> parse_type_expr("n^ll")[0].adjoint
     -2
 
-    Raises :class:`TypeSyntaxError` with a position on malformed input.
+    Raises :class:`TypeSyntaxError` with a 0-based position on malformed input.
     """
     simples = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m is None:
-            raise TypeSyntaxError(
-                f"expected type name, found {text[pos]!r}", text, pos)
-        name = m.group(0)
-        pos = m.end()
-        z = 0
-        if pos < n and text[pos] == "^":
-            caret = pos
-            pos += 1
-            if pos >= n or text[pos].isspace():
-                raise TypeSyntaxError("dangling '^' expects 'l' or 'r'", text, caret)
-            while pos < n and not text[pos].isspace():
-                if text[pos] == "l":
-                    z -= 1
-                elif text[pos] == "r":
-                    z += 1
-                else:
-                    raise TypeSyntaxError(
-                        f"bad adjoint letter {text[pos]!r}", text, pos)
-                pos += 1
-        elif pos < n and not text[pos].isspace():
-            raise TypeSyntaxError(
-                f"unexpected character {text[pos]!r} after type name", text, pos)
-        simples.append(SimpleType(BasicType(name), z))
+    built = {}  # one SimpleType per distinct token; sharing is safe, it is frozen
+    for token in _TOKEN_RE.finditer(text):
+        word = token.group()
+        if word not in built:
+            m = _SIMPLE_RE.match(word)
+            if m is None:
+                raise TypeSyntaxError(
+                    f"expected type name, found {word[0]!r}", text, token.start())
+            name, adjoint = m.group(1), m.group(2) or ""
+            stop = token.start() + m.end()
+            if stop < token.end():
+                raise TypeSyntaxError(
+                    f"bad adjoint letter {text[stop]!r}" if adjoint else
+                    f"unexpected character {text[stop]!r} after type name",
+                    text, stop)
+            if adjoint == "^":
+                raise TypeSyntaxError("dangling '^' expects 'l' or 'r'", text, stop - 1)
+            z = adjoint.count("r") - adjoint.count("l")
+            built[word] = SimpleType(BasicType(name), z)
+        simples.append(built[word])
     return CompoundType(simples)
 
 

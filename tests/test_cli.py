@@ -146,13 +146,16 @@ class TestReduce:
         assert "no reduction" in capsys.readouterr().out
 
     def test_syntax_error_exits_2_with_caret(self, capsys):
-        assert main(["reduce", "n n^x", "s"]) == 2
-        err = capsys.readouterr().err
-        assert "syntax error" in err
-        lines = err.splitlines()
-        caret_line = lines[-1]
-        assert caret_line.strip() == "^"
-        assert caret_line.index("^") - 2 == 4  # offset of the bad letter
+        for source in ["n n^x", "n\tn^x", "n\nn^x"]:
+            assert main(["reduce", source, "s"]) == 2
+            err = capsys.readouterr().err
+            assert "syntax error" in err
+            lines = err.splitlines()
+            caret_line = lines[-1]
+            assert caret_line.strip() == "^"
+            assert caret_line.index("^") - 2 == 4  # offset of the bad letter
+            # whitespace echoes as one space, so the caret sits under the letter
+            assert lines[-2] == "  n n^x"
 
     def test_json_output(self, capsys):
         assert main(["reduce", "n n^r s n^l n", "s", "--json"]) == 0

@@ -33,11 +33,14 @@ class TestParser:
     def test_empty_is_unit(self):
         assert ct("") == CompoundType()
         assert len(ct("   ")) == 0
+        assert len(ct("\t\n\u3000")) == 0
 
     def test_transitive_verb_type(self):
-        t = ct("n^r s n^l")
-        assert [(x.base.name, x.adjoint) for x in t] == \
-            [("n", 1), ("s", 0), ("n", -1)]
+        # any character for which str.isspace() is true separates simples
+        for text in ["n^r s n^l", "n^r\u3000s\u2028n^l", "n^r\u0085s\u001cn^l"]:
+            t = ct(text)
+            assert [(x.base.name, x.adjoint) for x in t] == \
+                [("n", 1), ("s", 0), ("n", -1)]
 
     def test_iterated_adjoints(self):
         assert ct("n^ll")[0].adjoint == -2
@@ -49,23 +52,43 @@ class TestParser:
             assert str(ct(expr)) == expr.strip() and ct(str(ct(expr))) == ct(expr)
 
     def test_dangling_caret(self):
-        with pytest.raises(TypeSyntaxError) as err:
-            ct("n^")
-        assert err.value.position == 1
+        for text in ["n^", "n^\tl"]:
+            with pytest.raises(TypeSyntaxError, match="dangling") as err:
+                ct(text)
+            assert err.value.position == 1
 
     def test_bad_adjoint_letter(self):
-        with pytest.raises(TypeSyntaxError) as err:
-            ct("n^lx s")
-        assert err.value.position == 3
+        for text, position in [("n^lx s", 3), ("n^^", 2), ("n^x", 2)]:
+            with pytest.raises(TypeSyntaxError, match="bad adjoint") as err:
+                ct(text)
+            assert err.value.position == position
 
     def test_bad_name(self):
-        with pytest.raises(TypeSyntaxError) as err:
-            ct("n 9bad")
-        assert err.value.position == 2
+        for text, position in [("n 9bad", 2), ("^l", 0)]:
+            with pytest.raises(TypeSyntaxError, match="expected type") as err:
+                ct(text)
+            assert err.value.position == position
 
     def test_unexpected_character(self):
-        with pytest.raises(TypeSyntaxError):
-            ct("n* s")
+        # U+200B ZERO WIDTH SPACE is not whitespace: str.isspace() is false
+        for text in ["n* s", "n\u200bs"]:
+            with pytest.raises(TypeSyntaxError, match="unexpected") as err:
+                ct(text)
+            assert err.value.position == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from(list("nsab01^lr*é \t\n")
+                                   + ["\u3000", "\u2028", "\u0085",
+                                      "\u001c", "\u200b"]), max_size=12))
+    def test_parses_and_round_trips_or_points_at_a_character(self, text):
+        try:
+            t = ct(text)
+        except TypeSyntaxError as err:
+            assert err.text == text
+            assert 0 <= err.position < len(text)
+            assert not text[err.position].isspace()
+        else:
+            assert ct(str(t)) == t
 
 
 class TestTypes:
