@@ -5,15 +5,19 @@ A noun's state is its co-occurrence count vector from
 (word -> type + state) round-trip through a small JSON format.
 
 Each check on a lexicon has one owner.  :func:`load_lexicon` checks the
-file's schema and names the bad field; :meth:`Lexicon.add` maps the type
-to spaces through :func:`gramsem.functor.spaces_of` and rejects
-non-finite data, for files and programmatic input alike; the state's
-size is checked by :class:`gramsem.linalg.Tensor`.
+file's schema and names the bad field; types map to spaces through
+:func:`gramsem.functor.spaces_of`; a state's size and finiteness belong to
+one private group builder, which :meth:`Lexicon.add` calls with one row
+and :func:`load_lexicon` with all the rows of one type text at once, so
+files and programmatic input are checked alike.
 """
 
 from __future__ import annotations
 
 import json
+import math
+
+import numpy as np
 
 from .counting import (ContextConfig, CooccurrenceCounts, count_cooccurrence,
                        export_vectors_tsv, tokenize)
@@ -86,10 +90,7 @@ class Lexicon:
         """
         if isinstance(gtype, str):
             gtype = parse_type_expr(gtype)
-        state = Tensor(spaces_of(self.spaces, gtype), data)
-        # NaN fails every comparison, so this one rejects NaN and +-inf
-        if not abs(state.array).max() < float("inf"):
-            raise ValueError("data must be a list of finite numbers")
+        [state] = _states(spaces_of(self.spaces, gtype), [data])
         entry = LexiconEntry(word, gtype, state)
         self._entries.setdefault(word, []).append(entry)
         return entry
@@ -112,6 +113,24 @@ class Lexicon:
     def __eq__(self, other):
         return (isinstance(other, Lexicon) and self.spaces == other.spaces
                 and self._entries == other._entries)
+
+
+def _states(spaces: tuple[VectorSpace, ...], rows) -> list[Tensor]:
+    """One read-only state over ``spaces`` per row of ``rows``, all views
+    of one array.  Raises ``ValueError`` for a row of the wrong size or
+    with a NaN or infinite number in it, ``OverflowError`` for an int past
+    the float range."""
+    shape = tuple(s.dim for s in spaces)
+    size = math.prod(shape)
+    arr = np.array(rows, dtype=np.float64, order="C")
+    if arr.size != len(rows) * size:
+        raise ValueError(
+            f"data has {arr.size} entries, spaces {shape} need {size}")
+    if not np.isfinite(arr).all():
+        raise ValueError("data must be a list of finite numbers")
+    arr.setflags(write=False)
+    return [Tensor._trusted(spaces, row.reshape(shape))
+            for row in arr.reshape(len(rows), size)]
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -155,7 +174,7 @@ def load_lexicon(path) -> Lexicon:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
             raise LexiconFormatError("$", f"not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     _expect(isinstance(doc.get("spaces"), dict), "spaces",
@@ -177,45 +196,70 @@ def load_lexicon(path) -> Lexicon:
             spaces[name] = VectorSpace(name, dim, basis)
         except ValueError as exc:
             raise LexiconFormatError(f"{where}.basis", str(exc)) from exc
-    lexicon = Lexicon(spaces)
     readings = {}  # type text -> (type, its dims or the missing space's error)
-    for k, rec in enumerate(doc["entries"]):
-        where = f"entries[{k}]"
-        _expect(isinstance(rec, dict), where, "must be an object")
-        word = rec.get("word")
-        _expect(isinstance(word, str) and word != "", f"{where}.word",
-                "must be a nonempty string")
-        type_expr = rec.get("type")
-        _expect(isinstance(type_expr, str), f"{where}.type", "must be a string")
-        if type_expr not in readings:
-            try:
-                gtype = parse_type_expr(type_expr)
-            except ValueError as exc:
-                raise LexiconFormatError(f"{where}.type", str(exc)) from exc
-            try:
-                readings[type_expr] = gtype, [s.dim for s in spaces_of(spaces, gtype)]
-            except UnassignedTypeError as exc:
-                readings[type_expr] = gtype, exc
-        gtype, expected_dims = readings[type_expr]
-        tensor = rec.get("tensor")
-        _expect(isinstance(tensor, dict), f"{where}.tensor", "must be an object")
-        dims = tensor.get("dims")
-        _expect(isinstance(dims, list) and all(map(_is_positive_int, dims)),
-                f"{where}.tensor.dims", "must be a list of positive integers")
-        data = tensor.get("data")
-        _expect(isinstance(data, list) and _NUMBER.issuperset(map(type, data)),
-                f"{where}.tensor.data", "must be a list of finite numbers")
-        if isinstance(expected_dims, UnassignedTypeError):
-            raise LexiconFormatError(
-                f"{where}.type", f"word {word!r} uses basic type "
-                f"{expected_dims.name!r} with no space record") from expected_dims
-        _expect(dims == expected_dims, f"{where}.tensor.dims",
-                f"word {word!r} declares dims {dims} but type "
-                f"{type_expr!r} needs {expected_dims}")
-        try:
-            lexicon.add(word, gtype, data)
-        except (ValueError, OverflowError) as exc:  # OverflowError: huge ints
-            raise LexiconFormatError(f"{where}.tensor.data",
+    groups = {}  # type text -> its entries' (k, word, data), in file order
+    try:
+        for k, rec in enumerate(doc["entries"]):
+            where = f"entries[{k}]"
+            _expect(isinstance(rec, dict), where, "must be an object")
+            word = rec.get("word")
+            _expect(isinstance(word, str) and word != "", f"{where}.word",
+                    "must be a nonempty string")
+            type_expr = rec.get("type")
+            _expect(isinstance(type_expr, str), f"{where}.type", "must be a string")
+            if type_expr not in readings:
+                try:
+                    gtype = parse_type_expr(type_expr)
+                except ValueError as exc:
+                    raise LexiconFormatError(f"{where}.type", str(exc)) from exc
+                try:
+                    readings[type_expr] = gtype, [
+                        s.dim for s in spaces_of(spaces, gtype)]
+                except UnassignedTypeError as exc:
+                    readings[type_expr] = gtype, exc
+            gtype, expected_dims = readings[type_expr]
+            tensor = rec.get("tensor")
+            _expect(isinstance(tensor, dict), f"{where}.tensor",
+                    "must be an object")
+            dims = tensor.get("dims")
+            _expect(isinstance(dims, list) and all(map(_is_positive_int, dims)),
+                    f"{where}.tensor.dims", "must be a list of positive integers")
+            data = tensor.get("data")
+            _expect(isinstance(data, list) and _NUMBER.issuperset(map(type, data)),
+                    f"{where}.tensor.data", "must be a list of finite numbers")
+            if isinstance(expected_dims, UnassignedTypeError):
+                raise LexiconFormatError(
+                    f"{where}.type", f"word {word!r} uses basic type "
+                    f"{expected_dims.name!r} with no space record"
+                ) from expected_dims
+            _expect(dims == expected_dims, f"{where}.tensor.dims",
+                    f"word {word!r} declares dims {dims} but type "
+                    f"{type_expr!r} needs {expected_dims}")
+            groups.setdefault(type_expr, []).append((k, word, data))
+        entries = [None] * len(doc["entries"])
+        for type_expr, group in groups.items():
+            gtype = readings[type_expr][0]
+            states = _states(spaces_of(spaces, gtype),
+                             [data for _, _, data in group])
+            for (k, word, _), state in zip(group, states):
+                entries[k] = LexiconEntry(word, gtype, state)
+    except (ValueError, OverflowError):  # OverflowError: huge ints
+        # report what adding the entries one at a time reports: the first
+        # entry in the file whose data fails on its own, else the error above
+        check, bad = Lexicon(spaces), []
+        for type_expr, group in groups.items():
+            for k, word, data in group:
+                try:
+                    check.add(word, readings[type_expr][0], data)
+                except (ValueError, OverflowError) as exc:
+                    bad.append((k, word, exc))
+                    break
+        if bad:
+            k, word, exc = min(bad, key=lambda b: b[0])
+            raise LexiconFormatError(f"entries[{k}].tensor.data",
                                      f"word {word!r}: {exc}") from exc
+        raise
+    lexicon = Lexicon(spaces)
+    for entry in entries:
+        lexicon._entries.setdefault(entry.word, []).append(entry)
     return lexicon
-

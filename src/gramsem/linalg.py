@@ -83,6 +83,15 @@ class Tensor:
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "array", arr)
 
+    @classmethod
+    def _trusted(cls, spaces, array) -> "Tensor":
+        """Unchecked: ``spaces`` a tuple, ``array`` a read-only float64 array
+        of their shape."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "spaces", spaces)
+        object.__setattr__(t, "array", array)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 

@@ -226,9 +226,17 @@ class TestMeaning:
         assert "no reduction" in capsys.readouterr().err
 
     def test_bad_lexicon_exits_2(self, capsys, tmp_path):
+        # nesting too deep for the JSON decoder is bad JSON, not a search
+        # that ran out of stack
+        deep = ('{"spaces": {}, "entries": ' + "[" * 100000 + "]" * 100000
+                + "}")
         path = tmp_path / "broken.json"
-        path.write_text("[]", encoding="utf-8")
-        assert main(["meaning", "x", "--lexicon", str(path)]) == 2
+        for text, message in [("[]", "$: top level must be an object"),
+                              (deep, "$: not valid JSON: ")]:
+            path.write_text(text, encoding="utf-8")
+            assert main(["meaning", "x", "--lexicon", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"bad lexicon: {message}")
 
     def test_json_round_trips_tensor_literal(self, capsys):
         assert main(["meaning", "bananas", "are", "fruit", "--json"]) == 0

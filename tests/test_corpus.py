@@ -5,11 +5,13 @@ import json
 import math
 import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramsem.cli import default_lexicon_path
 from gramsem.corpus import (ContextConfig, Lexicon, LexiconFormatError,
                             build_noun_vector, count_cooccurrence,
                             export_vectors_tsv, load_lexicon, save_lexicon,
@@ -257,6 +259,9 @@ class TestPersistence:
                            "tensor": {"dims": [1], "data": [10 ** 400]}}]},
              "entries[0].tensor.data"),
             (b'{"spaces": {"\xff": {"dim": 1}}, "entries": []}', "$"),
+            # nesting too deep for the decoder's stack
+            (b'{"spaces": {}, "entries": ' + b"[" * 100000 + b"]" * 100000
+             + b"}", "$"),
         ]
         for doc, expected_path in cases:
             path = tmp_path / "case.json"
@@ -409,3 +414,110 @@ class TestPersistence:
         save_lexicon(toy_lexicon, p1)
         save_lexicon(toy_lexicon, p2)
         assert p1.read_text() == p2.read_text()
+
+
+def added_in_file_order(path):
+    """The lexicon a file describes, built by public ``Lexicon.add`` calls
+    one entry at a time, in file order."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    lex = Lexicon({name: VectorSpace(name, rec["dim"], rec.get("basis"))
+                   for name, rec in doc["spaces"].items()})
+    for rec in doc["entries"]:
+        lex.add(rec["word"], rec["type"], rec["tensor"]["data"])
+    return lex
+
+
+class TestLoadByTypeGroup:
+    """The loader checks each type text's entries together; what it builds
+    and what it reports are what adding the entries one at a time gives."""
+
+    @staticmethod
+    def write(tmp_path, *entries):
+        """A file over spaces n (dim 2) and s (dim 1); each entry is
+        (word, type, dims, the data list's JSON text)."""
+        records = ",".join(
+            f'{{"word": "{w}", "type": "{t}", '
+            f'"tensor": {{"dims": {d}, "data": [{data}]}}}}'
+            for w, t, d, data in entries)
+        path = tmp_path / "lex.json"
+        path.write_text('{"spaces": {"n": {"dim": 2}, "s": {"dim": 1}}, '
+                        f'"entries": [{records}]}}', encoding="utf-8")
+        return path
+
+    def error(self, tmp_path, *entries):
+        with pytest.raises(LexiconFormatError) as err:
+            load_lexicon(self.write(tmp_path, *entries))
+        return str(err.value)
+
+    def test_data_error_wins_over_a_later_schema_error(self, tmp_path):
+        assert self.error(
+            tmp_path, ("a", "n", [2], "1, 2"), ("b", "n", [2], "1, NaN"),
+            ("c", "n", [3], "1, 2")) == (
+                "entries[1].tensor.data: word 'b': "
+                "data must be a list of finite numbers")
+
+    def test_first_data_error_in_the_file_wins_across_types(self, tmp_path):
+        # the n group is listed first, but its bad entry comes later
+        assert self.error(
+            tmp_path, ("a", "n", [2], "1, 2"), ("b", "s", [1], "1e999"),
+            ("c", "n", [2], "Infinity, 1")).startswith(
+                "entries[1].tensor.data: word 'b': ")
+
+    def test_huge_int_and_short_row_report_in_file_order(self, tmp_path):
+        huge = "1" + "0" * 400
+        assert self.error(
+            tmp_path, ("a", "n", [2], f"1, {huge}"), ("b", "n", [2], "1")) == (
+                "entries[0].tensor.data: word 'a': "
+                "int too large to convert to float")
+        assert self.error(
+            tmp_path, ("a", "n", [2], "1"), ("b", "n", [2], f"1, {huge}")) == (
+                "entries[0].tensor.data: word 'a': "
+                "data has 1 entries, spaces (2,) need 2")
+
+    def test_readings_of_different_types_keep_file_order(self, tmp_path):
+        path = self.write(
+            tmp_path, ("w", "n", [2], "1, 2"), ("x", "s", [1], "3"),
+            ("w", "n^r s", [2, 1], "4, 5"), ("x", "n", [2], "6, 7"),
+            ("w", "n", [2], "8, 9"))
+        lex = load_lexicon(path)
+        assert lex.words() == ["w", "x"]
+        assert [(str(e.gtype), e.state.flat) for e in lex.entries_for("w")] == [
+            ("n", [1.0, 2.0]), ("n^r s", [4.0, 5.0]), ("n", [8.0, 9.0])]
+        assert [str(e.gtype) for e in lex.entries_for("x")] == ["s", "n"]
+
+    def test_loaded_states_are_read_only(self, toy_lexicon, ambiguous_lexicon):
+        for lex in (toy_lexicon, ambiguous_lexicon):
+            for e in lex.all_entries():
+                assert not e.state.array.flags.writeable
+                with pytest.raises(ValueError):
+                    e.state.array[(0,) * e.state.rank] = 1.0
+
+    @pytest.mark.parametrize("name", ["toy_lexicon", "ambiguous_lexicon"])
+    def test_shipped_lexicons_equal_one_add_at_a_time(self, name):
+        path = Path(default_lexicon_path()).with_name(f"{name}.json")
+        loaded, added = load_lexicon(path), added_in_file_order(path)
+        assert loaded == added
+        assert loaded.words() == added.words()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2), st.lists(st.tuples(
+        st.sampled_from("uvw"), st.sampled_from(["n", "s", "n^r s", "n n^l"]),
+        st.lists(st.one_of(st.integers(-(2 ** 60), 2 ** 60),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=9, max_size=9)), max_size=12))
+    def test_load_equals_one_add_at_a_time(self, tmp_path_factory, n, s,
+                                           entries):
+        dims = {"n": n, "s": s}
+        records = []
+        for word, gtype, data in entries:
+            shape = [dims[t.split("^")[0]] for t in gtype.split()]
+            records.append({"word": word, "type": gtype, "tensor": {
+                "dims": shape, "data": data[:math.prod(shape)]}})
+        path = tmp_path_factory.mktemp("lex") / "lex.json"
+        path.write_text(json.dumps({
+            "spaces": {k: {"dim": d} for k, d in dims.items()},
+            "entries": records}), encoding="utf-8")
+        loaded, added = load_lexicon(path), added_in_file_order(path)
+        assert loaded == added
+        assert loaded.words() == added.words()
