@@ -436,10 +436,6 @@ def main(argv=None) -> int:
         print(f"out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return EXIT_DOMAIN
-    except RecursionError:
-        print("input too long or too deeply nested: the reduction search "
-              "ran out of stack", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

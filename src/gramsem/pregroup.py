@@ -5,11 +5,12 @@ integer adjoint exponent (``n^l`` is ``-1``, ``n^r`` is ``+1``, repeated
 letters iterate).  A reduction from one compound type to another is a
 sorted tuple of non-crossing "cups", ``(i, j)`` position pairs, each
 cancelling an adjacent-after-inner-removal pair ``x . x^r`` or ``x^l . x``.
-The search builds one chart in one memoised pass: for each span of the
-source, the number of its reductions to a suffix of the target (the
-counting semiring over cubic pregroup spans) and the moves that lead to
-one.  One loop with an explicit stack then walks that chart depth first
-in canonical order, only reading it.
+The search fills two tables of counts (the counting semiring over
+pregroup spans) in one loop over the source, right to left: for each
+position, the spans from it that reduce to the unit, and its number of
+reductions to each suffix of the target with the moves that lead to one.
+One loop with an explicit stack then walks those tables depth first in
+canonical order, only reading them.
 :func:`iter_reductions` yields the reductions lazily;
 :func:`enumerate_reductions` lists a prefix of them.
 Public constructors validate everything; search-built diagrams are
@@ -23,7 +24,6 @@ trusted, and are re-checked by tests and by :mod:`gramsem.oracle`.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
@@ -283,15 +283,18 @@ def iter_reductions(source: CompoundType,
     ``target`` one at a time, lexicographically by their cups.
 
     The search is exhaustive; an unreducible pair yields nothing.  One
-    memoised pass counts the reductions of each span of ``source`` to a
-    suffix of ``target`` and, as it sums them, lists the span's moves
-    that lead to one: cups at its left end, then leaving that end a
-    residual wire.  The chart is complete before the first yield.  One
-    loop then walks it depth first in the canonical order and only reads
-    it: each span takes its first move and keeps a choice point on an
-    explicit stack when it has another.  Reductions are never sorted, so
-    the first ``k`` cost ``k`` paths plus the chart, and a caller that
-    stops early stops the walk.
+    loop over the source, right to left, fills two tables of counts:
+    ``closed[lo]`` maps each ``hi`` with a reduction of ``src[lo:hi]``
+    to the unit to their number, and ``reach[lo][t]`` counts the
+    reductions of ``src[lo:]`` to ``tgt[t:]``, listing the moves that
+    lead to one.  No other span occurs: a residual wire keeps the span's
+    end, and only a cup's inside, a closed span, changes it.  Each
+    entry's parts start right of ``lo``, so nothing recurses.  One loop
+    then walks the tables depth first in the canonical order and only
+    reads them: each span takes its first move and keeps a choice point
+    on an explicit stack when it has another.  Reductions are never
+    sorted, so the first ``k`` cost ``k`` paths plus the tables, and a
+    caller that stops early stops the walk.
     """
     n, m = len(source), len(target)
     if (n - m) % 2 != 0 or n < m:
@@ -299,56 +302,50 @@ def iter_reductions(source: CompoundType,
     src = [(t.base.name, t.adjoint) for t in source]
     tgt = [(t.base.name, t.adjoint) for t in target]
 
-    # Redex table: for each p, ascending, the q > p an odd distance away
-    # (so the wires between can pair off) that :func:`can_contract` with p.
-    at = {}
-    for q, (name, z) in enumerate(src):
-        at.setdefault((name, z, q % 2), []).append(q)
-    partners = []
-    for p, (name, z) in enumerate(src):
-        qs = at.get((name, z + 1, 1 - p % 2), [])
-        partners.append(qs[bisect_right(qs, p):])
-
-    memo = {}  # one key per (lo, hi, t): lo * per_lo + hi * per_hi + t
-    # memo key -> the span's moves that have a reduction after them, in
-    # order: its cups (lo, q), then None if lo may stay a residual wire.
-    # Only spans with a move and room for a cup get one: most have none.
-    moves_at = {}
-    per_hi = m + 1
-    per_lo = (n + 1) * per_hi
-
-    def count(lo: int, hi: int, t: int) -> int:
-        """Number of reductions of ``src[lo:hi]`` to ``tgt[t:]``, listing
-        the span's moves in ``moves_at`` on the way; a closed span, all
-        cups, is ``t == m``."""
-        if lo == hi:
-            return 1 if t == m else 0
-        key = lo * per_lo + hi * per_hi + t
-        total = memo.get(key)
-        if total is None:
+    closed = [None] * n + [{n: 1}]  # the empty span closes once
+    reach = [None] * n + [[0] * m + [1]]
+    # steps[lo][t]: reach[lo][t]'s moves with a reduction after them, in
+    # order: cups (lo, q), then None if lo stays a residual wire
+    steps = [None] * n
+    # redexes_at[lo]: ascending, (q, count) for each cup (lo, q) whose
+    # inside closes
+    redexes_at = [None] * n
+    partner_of = [(name, z + 1) for name, z in src]
+    src.append(None)  # a sentinel: closed[lo + 1] may end at n
+    for lo in range(n - 1, -1, -1):
+        spans = closed[lo] = {lo: 1}
+        redexes = redexes_at[lo] = []
+        for q, c in closed[lo + 1].items():
+            if src[q] == partner_of[lo]:
+                redexes.append((q, c))
+                for hi, d in closed[q + 1].items():
+                    spans[hi] = spans.get(hi, 0) + c * d
+        redexes.sort()
+        counts = reach[lo] = [0] * (m + 1)
+        counts[m] = spans.get(n, 0)
+        row = steps[lo] = [None] * m
+        # the t with tgt[t:] no longer than src[lo:], an even difference, and
+        # no more target wires than lo has passed
+        for t in range(lo + m - n if lo + m > n else lo % 2,
+                       lo + 1 if lo < m else m, 2):
+            moves = []
             total = 0
-            if t < m:  # lo may stay a residual wire
-                room = (hi - lo) - (m - t)  # source simples left for cups
-                if room <= 0:
-                    return int(room == 0 and src[lo:hi] == tgt[t:])
-                if src[lo] == tgt[t]:
-                    total = count(lo + 1, hi, t + 1)
-            wire = total  # the reductions that leave lo a residual wire
-            for q in partners[lo]:
-                if q >= hi:
-                    break
-                inner = count(lo + 1, q, m)
-                outer = inner and count(q + 1, hi, t)
-                if outer:
-                    total += inner * outer
-                    moves_at.setdefault(key, []).append(Cup(lo, q))
-            if wire:
-                moves_at.setdefault(key, []).append(None)
-            memo[key] = total
-        return total
+            for q, c in redexes:
+                d = reach[q + 1][t]
+                if d:
+                    total += c * d
+                    moves.append(Cup(lo, q))
+            if src[lo] == tgt[t]:
+                d = reach[lo + 1][t + 1]
+                if d:
+                    total += d
+                    moves.append(None)
+            counts[t] = total
+            row[t] = moves
 
-    if not count(0, n, 0):
+    if not reach[0][0]:
         return
+    listed = {}  # (lo, hi) -> a closed span's cups, listed on its first visit
     cups: list[Cup] = []  # the preorder walk appends them in sorted order
     # choice points, latest last: (moves, index of the next one, lo, hi, t,
     # rest, len(cups))
@@ -360,7 +357,10 @@ def iter_reductions(source: CompoundType,
             if hi - lo <= m - t:  # no room for a cup: all residual
                 span = rest
                 continue
-            moves = moves_at[lo * per_lo + hi * per_hi + t]
+            moves = steps[lo][t] if t < m else listed.get((lo, hi))
+            if moves is None:
+                moves = listed[lo, hi] = [Cup(lo, q) for q, _ in redexes_at[lo]
+                                          if q < hi and hi in closed[q + 1]]
             move = moves[0]
             if len(moves) > 1:
                 choices.append((moves, 1, lo, hi, t, rest, len(cups)))

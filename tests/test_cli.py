@@ -169,23 +169,28 @@ class TestReduce:
         main(["reduce", "n n^l n n^l n", "n n^l n", "--json"])
         assert capsys.readouterr().out == first
 
-    def test_deep_nesting_exits_1_without_traceback(self, capsys):
+    def test_deep_nesting_reduces_under_a_low_recursion_limit(self, capsys):
         nested = " ".join(["n^l"] * 300 + ["n"] * 300)
-        # flat, but the search recurses once per sibling cup
+        # flat, with 301 sibling cups
         adverbs = "n n^r s" + " s^r s" * 300
-        for source, target in ((nested, ""), (adverbs, "s")):
+        expected = (
+            (nested, "", [(i, 599 - i) for i in range(300)]),
+            (adverbs, "s", [(p, p + 1) for p in range(0, 602, 2)]),
+        )
+        for source, target, cups in expected:
             limit = sys.getrecursionlimit()
             sys.setrecursionlimit(200)
             try:
                 code = main(["reduce", source, target])
             finally:
                 sys.setrecursionlimit(limit)
-            assert code == 1
             captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (
-                "input too long or too deeply nested: the reduction search "
-                "ran out of stack\n")
+            assert code == 0
+            assert captured.err == ""
+            found = [line for line in captured.out.splitlines()
+                     if line.startswith("reduction ")]
+            assert found == ["reduction 0: cups "
+                             + ", ".join(f"({i},{j})" for i, j in cups)]
 
 
 class TestRenderReduction:
@@ -226,8 +231,7 @@ class TestMeaning:
         assert "no reduction" in capsys.readouterr().err
 
     def test_bad_lexicon_exits_2(self, capsys, tmp_path):
-        # nesting too deep for the JSON decoder is bad JSON, not a search
-        # that ran out of stack
+        # nesting too deep for the JSON decoder is bad JSON
         deep = ('{"spaces": {}, "entries": ' + "[" * 100000 + "]" * 100000
                 + "}")
         path = tmp_path / "broken.json"

@@ -252,6 +252,22 @@ class TestEnumerate:
             [((0, 1),) + tuple((p, p + 1) for p in range(3, 1000, 2))]
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
+    @pytest.mark.parametrize("source, target, cups", [
+        (" ".join(["n^l"] * 1000 + ["n"] * 1000), "",
+         [(i, 1999 - i) for i in range(1000)]),
+        ("n n^r s" + " s^r s" * 1000, "s",
+         [(p, p + 1) for p in range(0, 2002, 2)]),
+        ("n n^r s n^l" + " n n^l" * 998 + " n", "s",
+         [(0, 1)] + [(p, p + 1) for p in range(3, 2000, 2)]),
+    ], ids=["nested-2000", "flat-clause-2003", "adjective-chain-2001"])
+    def test_deep_and_long_inputs_at_the_default_recursion_limit(
+            self, source, target, cups):
+        # the tables are filled by one loop, so neither nesting depth nor
+        # the number of sibling cups meets the interpreter's stack limit
+        out = iter_reductions(ct(source), ct(target))
+        assert next(out).cups == tuple(cups)
+        assert next(out, None) is None
+
     @pytest.mark.parametrize("z", range(-2, 3))
     def test_yanking_rewrites_hold_per_exponent(self, z):
         p = SimpleType(N, z)
