@@ -115,7 +115,7 @@ def cmd_reduce(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         if not diagrams:
-            print(f"no reduction from '{source}' to '{target or '1'}'")
+            print(f"no reduction from '{source or '1'}' to '{target or '1'}'")
         for k, d in enumerate(diagrams):
             cups = ", ".join(f"({i},{j})" for i, j in d.cups) or "(none)"
             print(f"reduction {k}: cups {cups}")

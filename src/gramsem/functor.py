@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -120,6 +121,11 @@ class SentenceAnalysis:
         return self.chosen.source  # the readings' types, concatenated
 
 
+# a target given as text is parsed once; a bad text raises on every call,
+# as lru_cache keeps no exception
+_parse_target = lru_cache(maxsize=64)(parse_type_expr)
+
+
 def _parses(words, lexicon, target: CompoundType):
     """The sentence's (reading combination, reduction) pairs, lazily, in
     the parse order :func:`enumerate_analyses` documents."""
@@ -152,7 +158,7 @@ def enumerate_analyses(words, lexicon, assignment: Mapping[str, VectorSpace],
     word states have.  An unparseable sentence yields ``[]``.
     """
     if isinstance(target, str):
-        target = parse_type_expr(target)
+        target = _parse_target(target)
     return [_analyse(combo, d, assignment)
             for combo, d in _parses(words, lexicon, target)]
 
@@ -173,7 +179,7 @@ def sentence_meaning(words, lexicon, assignment: Mapping[str, VectorSpace],
     word states.
     """
     if isinstance(target, str):
-        target = parse_type_expr(target)
+        target = _parse_target(target)
     if parse_index < 0:
         raise IndexError(f"parse_index must be >= 0, got {parse_index}")
     total = 0

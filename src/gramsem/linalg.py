@@ -207,6 +207,54 @@ def contract(t: Tensor, plan: ContractionPlan) -> Tensor:
     return contract_states((t,), plan)
 
 
+# Fold schedules by (pairs, ranks): the fold's walk over the positions
+# depends only on the plan's pairs and the states' ranks.  The table holds
+# at most _SCHEDULE_BOUND entries (a word's step, a trace axis or an
+# output index); an insert that would pass it clears the table, and a
+# larger schedule is not kept.
+_SCHEDULE_BOUND = 2 ** 16
+_schedules = {}
+_schedule_entries = 0
+
+
+def _schedule(pairs, ranks):
+    """The fold of states of ``ranks`` along ``pairs``: per state, the axes
+    to trace out one after the other and the number of cups it closes;
+    then the indices left open, in order."""
+    global _schedule_entries
+    schedule = _schedules.get((pairs, ranks))
+    if schedule is not None:
+        return schedule
+    partner = {}
+    for i, j in pairs:
+        partner[i], partner[j] = j, i
+    steps, start, entries = [], 0, 0
+    for rank in ranks:
+        traces, kept, closing = [], 0, 0
+        for p in range(start, start + rank):
+            q = partner.get(p, p)
+            if start <= q < p:  # the state's own cup, on axes kept - 1, kept
+                kept -= 1
+                traces.append(kept)
+            else:
+                kept += 1
+                closing += q < start
+        steps.append((tuple(traces), closing))
+        entries += 1 + len(traces)
+        start += rank
+    output = tuple([i for i in range(start) if i not in partner])
+    # all tuples, so the cyclic GC stops tracking a kept schedule
+    schedule = (tuple(steps), output)
+    entries += len(output)
+    if entries <= _SCHEDULE_BOUND:
+        if _schedule_entries + entries > _SCHEDULE_BOUND:
+            _schedules.clear()
+            _schedule_entries = 0
+        _schedules[pairs, ranks] = schedule
+        _schedule_entries += entries
+    return schedule
+
+
 @np.errstate(over="ignore", invalid="ignore")  # meanings may overflow
 def contract_states(states, plan: ContractionPlan) -> Tensor:
     """Contract the tensor product of ``states`` along ``plan`` without
@@ -216,6 +264,9 @@ def contract_states(states, plan: ContractionPlan) -> Tensor:
     wires open at a cut are the residual wires, then the open cups,
     innermost last, and a state whose own cups are traced out starts with
     the cups it closes.  So each state costs one matrix product over them.
+    Which axes each state traces and how many cups it closes depend only
+    on the pairs and the states' ranks, so that schedule is computed once
+    per (pairs, ranks) and kept in a bounded private table.
 
     >>> n = VectorSpace("n", 2)
     >>> a, b = Tensor((n,), [1, 2]), Tensor((n, n), [[3, 4], [5, 6]])
@@ -228,26 +279,17 @@ def contract_states(states, plan: ContractionPlan) -> Tensor:
         raise ValueError(
             f"plan expects spaces ({', '.join(map(str, plan.input_spaces))}), "
             f"tensor has ({', '.join(map(str, spaces))})")
-    partner = {}
-    for i, j in plan.pairs:
-        partner[i], partner[j] = j, i
-    acc, start = np.ones(()), 0
-    for t in states:
-        word, kept, closing = t.array, 0, 0
-        for p in range(start, start + t.rank):
-            q = partner.get(p, p)
-            if start <= q < p:  # the state's own cup, on axes kept - 1, kept
-                kept -= 1
-                word = np.trace(word, axis1=kept, axis2=kept + 1)
-            else:
-                kept += 1
-                closing += q < start
+    steps, output = _schedule(plan.pairs, tuple([t.rank for t in states]))
+    acc = np.ones(())
+    for t, (traces, closing) in zip(states, steps):
+        word = t.array
+        for axis in traces:
+            word = np.trace(word, axis1=axis, axis2=axis + 1)
         if closing > 1:  # innermost cup first, as it is last in acc
             word = np.moveaxis(word, range(closing), range(closing)[::-1])
         size = math.prod(word.shape[:closing])
         acc = acc.reshape(-1, size) @ word.reshape(size, -1)
-        start += t.rank
-    return Tensor(plan.output_spaces, acc)
+    return Tensor(tuple([spaces[i] for i in output]), acc)
 
 
 def yanking_check(dim: int, tol: float = 0.0) -> bool:

@@ -9,6 +9,8 @@ The search fills two tables of counts (the counting semiring over
 pregroup spans) in one loop over the source, right to left: for each
 position, the spans from it that reduce to the unit, and its number of
 reductions to each suffix of the target with the moves that lead to one.
+The tables depend only on the types, so they are filled once per
+(simples, target) and kept in a bounded private table.
 One loop with an explicit stack then walks those tables depth first in
 canonical order, only reading them.
 :func:`iter_reductions` yields the reductions lazily;
@@ -277,6 +279,84 @@ class ReductionDiagram:
         return f"{self.source} --[{cups}]--> {self.residual}"
 
 
+# Filled charts by (simples, target) key: a chart depends only on the
+# types, so a repeated search skips the fill.  The table holds at most
+# _CHART_BOUND entries of closed and reach (about 60 B each); an insert
+# that would pass it clears the table, and a larger chart is not kept.
+# A live walk holds its own chart, so clearing never disturbs it.
+_CHART_BOUND = 2 ** 16
+_charts = {}
+_chart_entries = 0
+
+
+def _chart(src_key, tgt_key):
+    """The tables of a search from the simples ``src_key`` to ``tgt_key``,
+    each a tuple of ``(base name, adjoint)``: ``(closed, reach, steps,
+    redexes_at, listed)``, from the table when kept, else filled."""
+    global _chart_entries
+    chart = _charts.get((src_key, tgt_key))
+    if chart is not None:
+        return chart
+    n, m = len(src_key), len(tgt_key)
+    src = src_key + (None,)  # a sentinel: closed[lo + 1] may end at n
+    tgt = tgt_key
+    closed = [None] * n + [{n: 1}]  # the empty span closes once
+    reach = [None] * n + [(0,) * m + (1,)]
+    # steps[lo][t]: reach[lo][t]'s moves with a reduction after them, in
+    # order: cups (lo, q) as plain tuples, then None if lo stays a residual
+    # wire
+    steps = [None] * n
+    # redexes_at[lo]: ascending, (q, count) for each cup (lo, q) whose
+    # inside closes
+    redexes_at = [None] * n
+    partner_of = [(name, z + 1) for name, z in src_key]
+    for lo in range(n - 1, -1, -1):
+        spans = closed[lo] = {lo: 1}
+        redexes = []
+        for q, c in closed[lo + 1].items():
+            if src[q] == partner_of[lo]:
+                redexes.append((q, c))
+                for hi, d in closed[q + 1].items():
+                    spans[hi] = spans.get(hi, 0) + c * d
+        redexes.sort()
+        counts = [0] * (m + 1)
+        counts[m] = spans.get(n, 0)
+        row = [None] * m
+        # the t with tgt[t:] no longer than src[lo:], an even difference, and
+        # no more target wires than lo has passed
+        for t in range(lo + m - n if lo + m > n else lo % 2,
+                       lo + 1 if lo < m else m, 2):
+            moves = []
+            total = 0
+            for q, c in redexes:
+                d = reach[q + 1][t]
+                if d:
+                    total += c * d
+                    moves.append((lo, q))
+            if src[lo] == tgt[t]:
+                d = reach[lo + 1][t + 1]
+                if d:
+                    total += d
+                    moves.append(None)
+            counts[t] = total
+            row[t] = tuple(moves)
+        # rows are kept as tuples of ints (a Cup would stay tracked), which
+        # the cyclic GC stops tracking
+        redexes_at[lo], reach[lo], steps[lo] = (
+            tuple(redexes), tuple(counts), tuple(row))
+    # listed[(lo, hi)]: a closed span's cups, plain tuples too, listed on a
+    # walk's first visit
+    chart = (closed, reach, steps, redexes_at, {})
+    entries = sum(map(len, closed)) + (n + 1) * (m + 1)
+    if entries <= _CHART_BOUND:
+        if _chart_entries + entries > _CHART_BOUND:
+            _charts.clear()
+            _chart_entries = 0
+        _charts[src_key, tgt_key] = chart
+        _chart_entries += entries
+    return chart
+
+
 def iter_reductions(source: CompoundType,
                     target: CompoundType) -> Iterator[ReductionDiagram]:
     """Yield the planar reductions of ``source`` whose residual equals
@@ -289,7 +369,10 @@ def iter_reductions(source: CompoundType,
     reductions of ``src[lo:]`` to ``tgt[t:]``, listing the moves that
     lead to one.  No other span occurs: a residual wire keeps the span's
     end, and only a cup's inside, a closed span, changes it.  Each
-    entry's parts start right of ``lo``, so nothing recurses.  One loop
+    entry's parts start right of ``lo``, so nothing recurses.  The tables
+    depend only on the simples and the target, so they are filled once
+    per (simples, target) and kept in a bounded private table; a chart
+    larger than the whole bound is filled afresh on every call.  One loop
     then walks the tables depth first in the canonical order and only
     reads them: each span takes its first move and keeps a choice point
     on an explicit stack when it has another.  Reductions are never
@@ -299,54 +382,13 @@ def iter_reductions(source: CompoundType,
     n, m = len(source), len(target)
     if (n - m) % 2 != 0 or n < m:
         return
-    src = [(t.base.name, t.adjoint) for t in source]
-    tgt = [(t.base.name, t.adjoint) for t in target]
-
-    closed = [None] * n + [{n: 1}]  # the empty span closes once
-    reach = [None] * n + [[0] * m + [1]]
-    # steps[lo][t]: reach[lo][t]'s moves with a reduction after them, in
-    # order: cups (lo, q), then None if lo stays a residual wire
-    steps = [None] * n
-    # redexes_at[lo]: ascending, (q, count) for each cup (lo, q) whose
-    # inside closes
-    redexes_at = [None] * n
-    partner_of = [(name, z + 1) for name, z in src]
-    src.append(None)  # a sentinel: closed[lo + 1] may end at n
-    for lo in range(n - 1, -1, -1):
-        spans = closed[lo] = {lo: 1}
-        redexes = redexes_at[lo] = []
-        for q, c in closed[lo + 1].items():
-            if src[q] == partner_of[lo]:
-                redexes.append((q, c))
-                for hi, d in closed[q + 1].items():
-                    spans[hi] = spans.get(hi, 0) + c * d
-        redexes.sort()
-        counts = reach[lo] = [0] * (m + 1)
-        counts[m] = spans.get(n, 0)
-        row = steps[lo] = [None] * m
-        # the t with tgt[t:] no longer than src[lo:], an even difference, and
-        # no more target wires than lo has passed
-        for t in range(lo + m - n if lo + m > n else lo % 2,
-                       lo + 1 if lo < m else m, 2):
-            moves = []
-            total = 0
-            for q, c in redexes:
-                d = reach[q + 1][t]
-                if d:
-                    total += c * d
-                    moves.append(Cup(lo, q))
-            if src[lo] == tgt[t]:
-                d = reach[lo + 1][t + 1]
-                if d:
-                    total += d
-                    moves.append(None)
-            counts[t] = total
-            row[t] = moves
-
+    closed, reach, steps, redexes_at, listed = _chart(
+        tuple([(t.base.name, t.adjoint) for t in source]),
+        tuple([(t.base.name, t.adjoint) for t in target]))
     if not reach[0][0]:
         return
-    listed = {}  # (lo, hi) -> a closed span's cups, listed on its first visit
     cups: list[Cup] = []  # the preorder walk appends them in sorted order
+    made = {}  # (lo, q) -> its Cup, built once per walk
     # choice points, latest last: (moves, index of the next one, lo, hi, t,
     # rest, len(cups))
     choices = []
@@ -359,8 +401,9 @@ def iter_reductions(source: CompoundType,
                 continue
             moves = steps[lo][t] if t < m else listed.get((lo, hi))
             if moves is None:
-                moves = listed[lo, hi] = [Cup(lo, q) for q, _ in redexes_at[lo]
-                                          if q < hi and hi in closed[q + 1]]
+                moves = listed[lo, hi] = tuple([
+                    (lo, q) for q, _ in redexes_at[lo]
+                    if q < hi and hi in closed[q + 1]])
             move = moves[0]
             if len(moves) > 1:
                 choices.append((moves, 1, lo, hi, t, rest, len(cups)))
@@ -375,8 +418,11 @@ def iter_reductions(source: CompoundType,
             move = moves[i]
         if move is None:  # lo is a residual wire
             span = (lo + 1, hi, t + 1, rest)
-        else:
-            cups.append(move)
+        else:  # a cup
+            cup = made.get(move)
+            if cup is None:
+                cup = made[move] = Cup(*move)
+            cups.append(cup)
             q = move[1]
             span = (q + 1, hi, t, rest)
             if q > lo + 1:

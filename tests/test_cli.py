@@ -122,8 +122,14 @@ MOTHS_PARSE_1_JSON = """\
      0, MOTHS_PARSE_1_JSON, ""),
     (["meaning", *MOTHS, "--lexicon", AMBIG, "--parse-index", "9"], 1, "",
      "parse_index 9 out of range: sentence has 2 parse(s)\n"),
+    # the unit prints as '1' on either side
+    (["reduce", "", "s"], 1, "no reduction from '1' to 's'\n", ""),
+    (["reduce", "n", ""], 1, "no reduction from 'n' to '1'\n", ""),
+    (["reduce", "", "s", "--json"], 1,
+     '{\n  "source": "",\n  "target": "s",\n  "reductions": []\n}\n', ""),
 ], ids=["reduce", "reduce-json", "list-parses", "parse-index-json",
-        "parse-index-out-of-range"])
+        "parse-index-out-of-range", "reduce-empty-source", "reduce-empty-target",
+        "reduce-empty-source-json"])
 def test_exact_output(capsys, argv, code, out, err):
     assert main(argv) == code
     captured = capsys.readouterr()

@@ -17,7 +17,7 @@ from gramsem.functor import (NoParseError, UnassignedTypeError,
 from gramsem.linalg import Tensor, VectorSpace, contract, tensor_product
 from gramsem.oracle import contraction_disagreement
 from gramsem.pregroup import (CompoundType, Cup, ReductionDiagram, SimpleType,
-                              parse_type_expr)
+                              TypeSyntaxError, parse_type_expr)
 
 N = VectorSpace("n", 3, ("sweet", "green", "furry"))
 S = VectorSpace("s", 1)
@@ -135,6 +135,16 @@ class TestSentenceMeaning:
         with pytest.raises(IndexError, match="1 parse"):
             sentence_meaning(["bananas", "are", "fruit"], toy_lexicon,
                              toy_lexicon.functor_assignment(), parse_index=1)
+
+    def test_target_text_parses_the_same_on_every_call(self, toy_lexicon):
+        words, assignment = ["bananas"], toy_lexicon.functor_assignment()
+        for fn in (sentence_meaning, enumerate_analyses):
+            for _ in range(2):  # a bad text is never remembered as good
+                with pytest.raises(TypeSyntaxError, match="position 2"):
+                    fn(words, toy_lexicon, assignment, target="n^x")
+                assert fn(words, toy_lexicon, assignment, target=" n") == \
+                    fn(words, toy_lexicon, assignment,
+                       target=parse_type_expr("n"))
 
     def test_identity_verb_builder(self, toy_lexicon):
         t = identity_verb(N, S)

@@ -1,11 +1,14 @@
 """The tensor kernel: units, counits, contraction, snakes, reshaping."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramsem import linalg
+from gramsem.oracle import brute_force_contract
 from gramsem.linalg import (ContractionPlan, Tensor, VectorSpace,
                             apply_epsilon, contract, make_eta,
                             process_to_state, scalar, state_to_process,
@@ -196,6 +199,105 @@ class TestContract:
             plan = ContractionPlan(
                 bent.spaces, frozenset({(len(dims) - 1, len(dims))}))
             assert contract(bent, plan) == x
+
+
+def empty_schedule_table(monkeypatch, bound=None):
+    """Start the fold from an empty schedule table, with ``bound`` total
+    entries when given; ``monkeypatch`` puts the old table back."""
+    monkeypatch.setattr(linalg, "_schedules", {})
+    monkeypatch.setattr(linalg, "_schedule_entries", 0)
+    if bound is not None:
+        monkeypatch.setattr(linalg, "_SCHEDULE_BOUND", bound)
+
+
+def schedule_entries(schedule):
+    """The entries a kept schedule counts against the bound."""
+    steps, output = schedule
+    return sum(1 + len(traces) for traces, _ in steps) + len(output)
+
+
+def fold_cases():
+    """(states, plan) pairs sharing pairs across ranks and ranks across
+    pairs: ``n n^l`` + ``n`` against ``n`` + ``n^l n``, and one rank
+    pattern under four plans."""
+    v = VectorSpace("v", 2)
+    rng = np.random.default_rng(5)
+
+    def state(rank):
+        return Tensor((v,) * rank, rng.integers(-3, 4, size=(2,) * rank))
+
+    cases = [((state(2), state(1)), {(1, 2)}),
+             ((state(1), state(2)), {(1, 2)})]
+    x, m, y = state(1), state(2), state(1)
+    for pairs in [set(), {(0, 1)}, {(2, 3)}, {(0, 1), (2, 3)}, {(0, 3), (1, 2)}]:
+        cases.append(((x, m, y), pairs))
+    cases.append(((state(4), state(3), state(1)),
+                  {(0, 7), (1, 2), (3, 4), (5, 6)}))
+    return [(states, ContractionPlan((v,) * sum(t.rank for t in states), pairs))
+            for states, pairs in cases]
+
+
+class TestScheduleTable:
+    """Fold schedules are kept by (pairs, ranks) in a table bounded by its
+    total entries; a kept schedule folds as a freshly computed one."""
+
+    def test_key_holds_the_pairs_and_the_ranks(self, monkeypatch):
+        cases = fold_cases()
+        fresh = []
+        for states, plan in cases:
+            empty_schedule_table(monkeypatch)
+            fresh.append(linalg.contract_states(states, plan))
+        empty_schedule_table(monkeypatch)
+        for _ in range(2):
+            for (states, plan), expected in zip(cases, fresh):
+                got = linalg.contract_states(states, plan)
+                assert got.spaces == expected.spaces
+                assert np.array_equal(got.array, expected.array)
+                shape, flat = brute_force_contract(
+                    [t.array for t in states], plan.pairs)
+                assert got.dims == shape
+                assert got.array.reshape(-1).tolist() == flat
+        assert len(linalg._schedules) == len(cases)
+
+    def test_eviction_keeps_the_table_within_its_bound(self, monkeypatch):
+        cases = fold_cases()
+        empty_schedule_table(monkeypatch)
+        fresh = [linalg.contract_states(*case) for case in cases]
+        bound = 20
+        empty_schedule_table(monkeypatch, bound)
+        kept_most = 0
+        for _ in range(2):
+            for case, expected in zip(cases, fresh):
+                assert linalg.contract_states(*case) == expected
+                kept = sum(map(schedule_entries, linalg._schedules.values()))
+                assert kept == linalg._schedule_entries <= bound
+                kept_most = max(kept_most, kept)
+        assert kept_most > bound // 2  # the table was full before it cleared
+        assert len(linalg._schedules) < len(cases)
+
+    def test_a_kept_schedule_holds_nothing_the_gc_tracks(self, monkeypatch):
+        empty_schedule_table(monkeypatch)
+        linalg.contract_states(*fold_cases()[-1])
+        for _ in range(4):  # a collection untracks one level of nesting
+            gc.collect()
+        schedule, = linalg._schedules.values()
+        assert not gc.is_tracked(schedule)
+
+    def test_a_schedule_larger_than_the_bound_is_not_kept(self, monkeypatch):
+        empty_schedule_table(monkeypatch, 20)
+        small = fold_cases()[0]
+        linalg.contract_states(*small)
+        before = dict(linalg._schedules)
+        # one state holding 29 cups of its own: 1 + 29 + 2 entries
+        two, one = VectorSpace("two", 2), VectorSpace("one", 1)
+        spaces = (two, two, two) + (one,) * 56 + (two,)
+        data = np.arange(16.0)
+        plan = ContractionPlan(
+            spaces, frozenset((2 * k + 1, 2 * k + 2) for k in range(29)))
+        out = contract(Tensor(spaces, data), plan)
+        assert out.array.tolist() == np.einsum(
+            "ikkj->ij", data.reshape(2, 2, 2, 2)).tolist()
+        assert linalg._schedules.keys() == before.keys()
 
 
 class TestYanking:

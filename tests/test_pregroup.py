@@ -1,5 +1,6 @@
 """Free pregroup types, the expression parser, and the reduction search."""
 
+import gc
 import itertools
 import random
 import time
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramsem import pregroup
 from gramsem.functor import lift_reduction, spaces_of
 from gramsem.linalg import ContractionPlan, VectorSpace
 from gramsem.oracle import all_partial_matchings, matching_is_valid
@@ -23,6 +25,21 @@ S = BasicType("s")
 
 def ct(expr):
     return parse_type_expr(expr)
+
+
+def empty_chart_table(monkeypatch, bound=None):
+    """Start the search from an empty chart table, with ``bound`` total
+    entries when given; ``monkeypatch`` puts the old table back."""
+    monkeypatch.setattr(pregroup, "_charts", {})
+    monkeypatch.setattr(pregroup, "_chart_entries", 0)
+    if bound is not None:
+        monkeypatch.setattr(pregroup, "_CHART_BOUND", bound)
+
+
+def chart_entries(chart):
+    """The entries a kept chart counts against the bound."""
+    closed, reach = chart[:2]
+    return sum(map(len, closed)) + len(reach) * len(reach[-1])
 
 
 class TestParser:
@@ -233,14 +250,17 @@ class TestEnumerate:
             assert enumerate_reductions(src, ct("s"), limit=k) == full[:k]
         assert list(iter_reductions(src, ct("s"))) == full
 
-    def test_limit_stops_early_on_a_long_chain(self):
-        # 6.6 * 10^9 reductions: only the chart of counts and one path
+    def test_limit_stops_early_on_a_long_chain(self, monkeypatch):
+        # 6.6 * 10^9 reductions: only the chart of counts and one path; the
+        # cold run fills the chart, the warm one reads it from the table
         src = ct("n n^r s n^l n" + " n^r n n^l n" * 20)
-        start = time.perf_counter()
-        out = enumerate_reductions(src, ct("s"), limit=1)
-        elapsed = time.perf_counter() - start
-        assert len(out) == 1 and out[0].residual == ct("s")
-        assert elapsed < 1.0, f"took {elapsed:.3f}s"
+        empty_chart_table(monkeypatch)
+        for table in ("cold", "warm"):
+            start = time.perf_counter()
+            out = enumerate_reductions(src, ct("s"), limit=1)
+            elapsed = time.perf_counter() - start
+            assert len(out) == 1 and out[0].residual == ct("s")
+            assert elapsed < 1.0, f"{table}: took {elapsed:.3f}s"
 
     def test_long_adjective_chain(self):
         src = ct("n n^r s n^l" + " n n^l" * 498 + " n")
@@ -290,30 +310,39 @@ PP_CHAIN = "n n^r s n^l n"  # + " n^r n n^l n" * j: Catalan(j) reductions to s
 
 class TestWalk:
     """The explicit-stack walk: its state belongs to one iterator, and it
-    lists every reduction, as the public constructor builds it."""
+    lists every reduction, as the public constructor builds it.  Iterators
+    over one key share the kept chart: each test runs from an empty table,
+    where the first iterator fills it, and again from the filled one."""
 
-    def test_interleaved_iterators_match_a_single_one(self):
+    def test_interleaved_iterators_match_a_single_one(self, monkeypatch):
         for src, target in [(ct(PP_CHAIN + " n^r n n^l n" * 5), ct("s")),
                             (ct("n n^l n n^l n n^l n"), ct("n n^l n"))]:
             single = list(iter_reductions(src, target))
-            a, b = iter_reductions(src, target), iter_reductions(src, target)
-            got_a, got_b = [], []
-            for d in a:  # two steps of a for each step of b
-                got_a.append(d)
-                if len(got_a) % 2 == 0:
-                    got_b.append(next(b))
-            got_b.extend(b)
-            assert len(single) > 2
-            assert got_a == single and got_b == single
+            for table in ("cold", "warm"):
+                if table == "cold":
+                    empty_chart_table(monkeypatch)
+                a = iter_reductions(src, target)
+                b = iter_reductions(src, target)
+                got_a, got_b = [], []
+                for d in a:  # two steps of a for each step of b
+                    got_a.append(d)
+                    if len(got_a) % 2 == 0:
+                        got_b.append(next(b))
+                got_b.extend(b)
+                assert len(single) > 2
+                assert got_a == single and got_b == single
 
-    def test_an_abandoned_iterator_leaves_fresh_ones_alone(self):
+    def test_an_abandoned_iterator_leaves_fresh_ones_alone(self, monkeypatch):
         src, target = ct(PP_CHAIN + " n^r n n^l n" * 6), ct("s")
         full = list(iter_reductions(src, target))
-        abandoned = iter_reductions(src, target)
-        head = list(itertools.islice(abandoned, 50))
-        assert head == full[:50]
-        assert list(iter_reductions(src, target)) == full
-        assert list(abandoned) == full[50:]
+        for table in ("cold", "warm"):
+            if table == "cold":
+                empty_chart_table(monkeypatch)
+            abandoned = iter_reductions(src, target)
+            head = list(itertools.islice(abandoned, 50))
+            assert head == full[:50]
+            assert list(iter_reductions(src, target)) == full
+            assert list(abandoned) == full[50:]
 
     @pytest.mark.parametrize("j", range(9))
     def test_pp_chains_give_catalan_counts(self, j):
@@ -324,6 +353,73 @@ class TestWalk:
         for d in out:
             assert d == ReductionDiagram(src, d.cups)
             assert all(type(c) is Cup for c in d.cups)
+
+
+class TestChartTable:
+    """Charts are kept by (simples, target) in a table bounded by its total
+    entries; a kept chart gives what a freshly filled one gives."""
+
+    def test_key_holds_the_simples_and_the_target(self, monkeypatch):
+        src = ct("n n^l n n^l n")
+        pairs = [(src, ct("n")), (src, ct("n n^l n")),
+                 (ct("n n^l") + ct("n"), ct("n")),
+                 (ct("n") + ct("n^l n"), ct("n"))]
+        fresh = []
+        for source, target in pairs:
+            empty_chart_table(monkeypatch)
+            fresh.append(list(iter_reductions(source, target)))
+        empty_chart_table(monkeypatch)
+        for (source, target), expected in zip(pairs, fresh):
+            got = list(iter_reductions(source, target))
+            assert got == expected
+            assert [d.cups for d in got] == \
+                sorted(oracle_groups(source).get(target, []))
+            assert all(d.source is source for d in got)
+        assert len(pregroup._charts) == 3  # the two splits share one key
+
+    def test_eviction_keeps_the_table_within_its_bound(self, monkeypatch):
+        searches = [(ct(PP_CHAIN + " n^r n n^l n" * j), ct("s"))
+                    for j in range(7)]
+        searches += [(ct("n n^l n n^l n n^l n"), ct(target))
+                     for target in ("n", "n n^l n", "n n^l n n^l n")]
+        empty_chart_table(monkeypatch)
+        fresh = [list(iter_reductions(s, t)) for s, t in searches]
+        bound = 200
+        empty_chart_table(monkeypatch, bound)
+        kept_most = 0
+        for _ in range(2):
+            for (source, target), expected in zip(searches, fresh):
+                assert list(iter_reductions(source, target)) == expected
+                kept = sum(map(chart_entries, pregroup._charts.values()))
+                assert kept == pregroup._chart_entries <= bound
+                kept_most = max(kept_most, kept)
+        assert kept_most > bound // 2  # the table was full before it cleared
+        assert len(pregroup._charts) < len(searches)
+
+    def test_a_kept_chart_holds_nothing_the_gc_tracks(self, monkeypatch):
+        # rows of ints, not Cups: the cyclic GC stops tracking them, so the
+        # charts a table keeps add nothing to later collections' work
+        empty_chart_table(monkeypatch)
+        src = ct(PP_CHAIN + " n^r n n^l n" * 3)
+        assert len(list(iter_reductions(src, ct("s")))) == 5
+        for _ in range(4):  # a collection untracks one level of nesting
+            gc.collect()
+        (closed, reach, steps, redexes_at, listed), = pregroup._charts.values()
+        rows = closed + reach + steps + redexes_at + list(listed.values())
+        assert listed and not any(map(gc.is_tracked, rows))
+
+    def test_a_chart_larger_than_the_bound_is_not_kept(self, monkeypatch):
+        empty_chart_table(monkeypatch)
+        list(iter_reductions(ct("n n^l n"), ct("n")))
+        before = dict(pregroup._charts)
+        # a flat clause of 1,603 simples: about 320,000 entries in closed
+        flat = ct("n n^r s" + " s^r s" * 800)
+        out = list(iter_reductions(flat, ct("s")))
+        assert [d.cups for d in out] == [tuple((p, p + 1)
+                                                for p in range(0, 1602, 2))]
+        # neither kept nor clearing the table; keys only, as a failing
+        # comparison of the charts themselves would print all 320,000 entries
+        assert pregroup._charts.keys() == before.keys()
 
 
 def replay_innermost_first(d):
