@@ -91,7 +91,7 @@ class Lexicon:
         if isinstance(gtype, str):
             gtype = parse_type_expr(gtype)
         [state] = _states(spaces_of(self.spaces, gtype), [data])
-        entry = LexiconEntry(word, gtype, state)
+        entry = LexiconEntry._trusted(word, gtype, state)
         self._entries.setdefault(word, []).append(entry)
         return entry
 
@@ -133,9 +133,8 @@ def _states(spaces: tuple[VectorSpace, ...], rows) -> list[Tensor]:
             for row in arr.reshape(len(rows), size)]
 
 
-def _expect(cond: bool, path: str, message: str):
-    if not cond:
-        raise LexiconFormatError(path, message)
+def _entry_error(k: int, field: str, message: str) -> LexiconFormatError:
+    return LexiconFormatError(f"entries[{k}]{field}", message)
 
 
 def _is_positive_int(x) -> bool:
@@ -176,42 +175,50 @@ def load_lexicon(path) -> Lexicon:
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
             raise LexiconFormatError("$", f"not valid JSON: {exc}") from exc
-    _expect(isinstance(doc, dict), "$", "top level must be an object")
-    _expect(isinstance(doc.get("spaces"), dict), "spaces",
-            "must be an object of space records")
-    _expect(isinstance(doc.get("entries"), list), "entries",
-            "must be a list of entry records")
+    # each check formats its path and message only when it fails
+    if not isinstance(doc, dict):
+        raise LexiconFormatError("$", "top level must be an object")
+    if not isinstance(doc.get("spaces"), dict):
+        raise LexiconFormatError("spaces", "must be an object of space records")
+    if not isinstance(doc.get("entries"), list):
+        raise LexiconFormatError("entries", "must be a list of entry records")
     spaces: dict[str, VectorSpace] = {}
     for name, rec in doc["spaces"].items():
-        where = f"spaces.{name}"
-        _expect(isinstance(rec, dict), where, "must be an object")
+        if not isinstance(rec, dict):
+            raise LexiconFormatError(f"spaces.{name}", "must be an object")
         dim = rec.get("dim")
-        _expect(_is_positive_int(dim), f"{where}.dim",
-                "must be a positive integer")
+        if not _is_positive_int(dim):
+            raise LexiconFormatError(f"spaces.{name}.dim",
+                                     "must be a positive integer")
         basis = rec.get("basis")
-        _expect(basis is None or isinstance(basis, list)
-                and all(isinstance(b, str) for b in basis),
-                f"{where}.basis", "must be a list of strings")
+        if not (basis is None or isinstance(basis, list)
+                and all(isinstance(b, str) for b in basis)):
+            raise LexiconFormatError(f"spaces.{name}.basis",
+                                     "must be a list of strings")
         try:
             spaces[name] = VectorSpace(name, dim, basis)
         except ValueError as exc:
-            raise LexiconFormatError(f"{where}.basis", str(exc)) from exc
+            raise LexiconFormatError(f"spaces.{name}.basis", str(exc)) from exc
     readings = {}  # type text -> (type, its dims or the missing space's error)
-    groups = {}  # type text -> its entries' (k, word, data), in file order
+    # type text -> its entries' indices in file order: ints, which the
+    # cyclic GC does not track; words and data are read back from recs
+    groups = {}
+    recs = doc["entries"]
     try:
-        for k, rec in enumerate(doc["entries"]):
-            where = f"entries[{k}]"
-            _expect(isinstance(rec, dict), where, "must be an object")
+        for k, rec in enumerate(recs):
+            if not isinstance(rec, dict):
+                raise _entry_error(k, "", "must be an object")
             word = rec.get("word")
-            _expect(isinstance(word, str) and word != "", f"{where}.word",
-                    "must be a nonempty string")
+            if not (isinstance(word, str) and word != ""):
+                raise _entry_error(k, ".word", "must be a nonempty string")
             type_expr = rec.get("type")
-            _expect(isinstance(type_expr, str), f"{where}.type", "must be a string")
+            if not isinstance(type_expr, str):
+                raise _entry_error(k, ".type", "must be a string")
             if type_expr not in readings:
                 try:
                     gtype = parse_type_expr(type_expr)
                 except ValueError as exc:
-                    raise LexiconFormatError(f"{where}.type", str(exc)) from exc
+                    raise _entry_error(k, ".type", str(exc)) from exc
                 try:
                     readings[type_expr] = gtype, [
                         s.dim for s in spaces_of(spaces, gtype)]
@@ -219,36 +226,37 @@ def load_lexicon(path) -> Lexicon:
                     readings[type_expr] = gtype, exc
             gtype, expected_dims = readings[type_expr]
             tensor = rec.get("tensor")
-            _expect(isinstance(tensor, dict), f"{where}.tensor",
-                    "must be an object")
+            if not isinstance(tensor, dict):
+                raise _entry_error(k, ".tensor", "must be an object")
             dims = tensor.get("dims")
-            _expect(isinstance(dims, list) and all(map(_is_positive_int, dims)),
-                    f"{where}.tensor.dims", "must be a list of positive integers")
+            if not (isinstance(dims, list) and all(map(_is_positive_int, dims))):
+                raise _entry_error(k, ".tensor.dims",
+                                   "must be a list of positive integers")
             data = tensor.get("data")
-            _expect(isinstance(data, list) and _NUMBER.issuperset(map(type, data)),
-                    f"{where}.tensor.data", "must be a list of finite numbers")
-            if isinstance(expected_dims, UnassignedTypeError):
-                raise LexiconFormatError(
-                    f"{where}.type", f"word {word!r} uses basic type "
-                    f"{expected_dims.name!r} with no space record"
-                ) from expected_dims
-            _expect(dims == expected_dims, f"{where}.tensor.dims",
-                    f"word {word!r} declares dims {dims} but type "
-                    f"{type_expr!r} needs {expected_dims}")
-            groups.setdefault(type_expr, []).append((k, word, data))
-        entries = [None] * len(doc["entries"])
-        for type_expr, group in groups.items():
-            gtype = readings[type_expr][0]
-            states = _states(spaces_of(spaces, gtype),
-                             [data for _, _, data in group])
-            for (k, word, _), state in zip(group, states):
-                entries[k] = LexiconEntry(word, gtype, state)
+            if not (isinstance(data, list)
+                    and _NUMBER.issuperset(map(type, data))):
+                raise _entry_error(k, ".tensor.data",
+                                   "must be a list of finite numbers")
+            if dims != expected_dims:
+                if isinstance(expected_dims, UnassignedTypeError):
+                    raise _entry_error(
+                        k, ".type", f"word {word!r} uses basic type "
+                        f"{expected_dims.name!r} with no space record"
+                    ) from expected_dims
+                raise _entry_error(
+                    k, ".tensor.dims", f"word {word!r} declares dims {dims} "
+                    f"but type {type_expr!r} needs {expected_dims}")
+            groups.setdefault(type_expr, []).append(k)
+        states = [_states(spaces_of(spaces, readings[type_expr][0]),
+                          [recs[k]["tensor"]["data"] for k in group])
+                  for type_expr, group in groups.items()]
     except (ValueError, OverflowError):  # OverflowError: huge ints
         # report what adding the entries one at a time reports: the first
         # entry in the file whose data fails on its own, else the error above
         check, bad = Lexicon(spaces), []
         for type_expr, group in groups.items():
-            for k, word, data in group:
+            for k in group:
+                word, data = recs[k]["word"], recs[k]["tensor"]["data"]
                 try:
                     check.add(word, readings[type_expr][0], data)
                 except (ValueError, OverflowError) as exc:
@@ -256,9 +264,15 @@ def load_lexicon(path) -> Lexicon:
                     break
         if bad:
             k, word, exc = min(bad, key=lambda b: b[0])
-            raise LexiconFormatError(f"entries[{k}].tensor.data",
-                                     f"word {word!r}: {exc}") from exc
+            raise _entry_error(k, ".tensor.data",
+                               f"word {word!r}: {exc}") from exc
         raise
+    entries = [None] * len(recs)
+    for (type_expr, group), group_states in zip(groups.items(), states):
+        gtype = readings[type_expr][0]
+        for k, state in zip(group, group_states):
+            entries[k] = LexiconEntry._trusted(recs[k]["word"], gtype, state)
+            recs[k] = None  # freed now: fewer live objects for the GC to pass
     lexicon = Lexicon(spaces)
     for entry in entries:
         lexicon._entries.setdefault(entry.word, []).append(entry)

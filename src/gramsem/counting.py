@@ -14,7 +14,6 @@ states and re-exports every name here.
 from __future__ import annotations
 
 import re
-import string
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import compress
@@ -27,9 +26,9 @@ __all__ = [
     "export_vectors_tsv",
 ]
 
-_EDGE_PUNCT = re.compile(r"^[^A-Za-z0-9']+|[^A-Za-z0-9']+$")
-_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
-_IN_WORD = frozenset(string.ascii_letters + string.digits + "'").__contains__
+# a whitespace token from its first to its last [A-Za-z0-9'] character;
+# str.split and the pattern's \s agree on every code point
+_STRIPPED_TOKEN = re.compile(r"[A-Za-z0-9'](?:\S*[A-Za-z0-9'])?")
 
 
 @dataclass(frozen=True)
@@ -63,14 +62,13 @@ def tokenize(text: str, cfg: ContextConfig) -> list[str]:
     non-alphanumeric-non-apostrophe characters and ASCII-lowercased.
     Tokens emptied by stripping are dropped.
     """
-    if cfg.lowercase:  # the edge class is case-blind, so lowering first is safe
-        text = text.translate(_ASCII_LOWER)
-    tokens = text.split()
-    if cfg.strip_punct:
-        tokens = list(filter(None, (
-            t if _IN_WORD(t[0]) and _IN_WORD(t[-1]) else _EDGE_PUNCT.sub("", t)
-            for t in tokens)))
-    return tokens
+    if cfg.lowercase:
+        # bytes.lower maps only ASCII; surrogatepass keeps lone surrogates
+        text = text.encode("utf-8", "surrogatepass").lower().decode(
+            "utf-8", "surrogatepass")
+    if cfg.strip_punct:  # a token emptied by stripping never matches
+        return _STRIPPED_TOKEN.findall(text)
+    return text.split()
 
 
 @dataclass

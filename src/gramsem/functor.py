@@ -91,7 +91,7 @@ def lift_reduction(assignment: Mapping[str, VectorSpace],
                                     frozenset(d.cups))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexiconEntry:
     """One reading of a word: its grammar type plus a state whose indices
     follow the type's simples left to right."""
@@ -105,6 +105,15 @@ class LexiconEntry:
             raise ValueError(
                 f"word {self.word!r}: state rank {self.state.rank} != "
                 f"type length {len(self.gtype)}")
+
+    @classmethod
+    def _trusted(cls, word, gtype, state) -> "LexiconEntry":
+        """Unchecked: ``state`` built over ``spaces_of(..., gtype)``."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "word", word)
+        object.__setattr__(e, "gtype", gtype)
+        object.__setattr__(e, "state", state)
+        return e
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ from gramsem.corpus import (ContextConfig, Lexicon, LexiconFormatError,
                             build_noun_vector, count_cooccurrence,
                             export_vectors_tsv, load_lexicon, save_lexicon,
                             tensor_literal, tokenize)
-from gramsem.functor import UnassignedTypeError
+from gramsem.functor import LexiconEntry, UnassignedTypeError
 from gramsem.linalg import Tensor, VectorSpace
+from gramsem.pregroup import parse_type_expr
 
 CFG = ContextConfig(("sweet", "green", "furry"), window=1)
 
@@ -521,3 +522,93 @@ class TestLoadByTypeGroup:
         loaded, added = load_lexicon(path), added_in_file_order(path)
         assert loaded == added
         assert loaded.words() == added.words()
+
+    # a valid file over spaces n (dim 2) and s (dim 1), one record a row
+    VALID = [("a", "n", [2], [1, 2]), ("b", "s", [1], [3]),
+             ("a", "n^r s", [2, 1], [4, 5.5]), ("c", "n n^l", [2, 2], [1, 2, 3, 4]),
+             ("b", "n", [2], [6, 7]), ("d", "s n^l", [1, 2], [8, 9])]
+
+    @staticmethod
+    def corruption(kind, rec, at):
+        """``rec`` with one field corrupted by ``kind`` (data item ``at``
+        where one is picked), with the path under ``entries[k]`` and the
+        message the loader must report."""
+        word, gtype, tensor = rec["word"], rec["type"], rec["tensor"]
+        dims, data = tensor["dims"], tensor["data"]
+        at %= len(data)
+        schema = {"word": (".word", "must be a nonempty string"),
+                  "type": (".type", "must be a string"),
+                  "tensor": (".tensor", "must be an object"),
+                  "dims": (".tensor.dims", "must be a list of positive integers"),
+                  "data": (".tensor.data", "must be a list of finite numbers")}
+        if kind.startswith("drop "):
+            field = kind.removeprefix("drop ")
+            del (tensor if field in ("dims", "data") else rec)[field]
+            return rec, *schema[field]
+        if kind == "record not an object":
+            return [word, gtype], "", "must be an object"
+        if kind.startswith("wrong JSON type "):
+            field = kind.removeprefix("wrong JSON type ")
+            wrong = {"word": 7, "type": [gtype], "tensor": [dims, data],
+                     "dims": "2", "data": {"0": data[0]}}[field]
+            (tensor if field in ("dims", "data") else rec)[field] = wrong
+            return rec, *schema[field]
+        if kind == "bool in dims":
+            tensor["dims"] = [True] * len(dims)
+            return rec, *schema["dims"]
+        if kind in ("bool in data", "string in data"):
+            data[at] = True if kind == "bool in data" else str(data[at])
+            return rec, *schema["data"]
+        if kind in ("NaN in data", "huge int in data"):
+            data[at] = math.nan if kind == "NaN in data" else 10 ** 400
+            return rec, ".tensor.data", f"word {word!r}: " + (
+                "data must be a list of finite numbers" if kind == "NaN in data"
+                else "int too large to convert to float")
+        if kind == "dims disagree":
+            tensor["dims"] = dims + [2]
+            return rec, ".tensor.dims", (
+                f"word {word!r} declares dims {dims + [2]} but type "
+                f"{gtype!r} needs {dims}")
+        if kind == "basic type with no space":
+            rec["type"] = gtype + " q"
+            return rec, ".type", (
+                f"word {word!r} uses basic type 'q' with no space record")
+        assert kind == "bad type text"
+        rec["type"] = gtype + " n^x"
+        return rec, ".type", f"bad adjoint letter 'x' at position {len(gtype) + 3}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 3), st.sampled_from([
+        "drop word", "drop type", "drop tensor", "drop dims", "drop data",
+        "record not an object", "wrong JSON type word", "wrong JSON type type",
+        "wrong JSON type tensor", "wrong JSON type dims",
+        "wrong JSON type data", "bool in dims", "bool in data",
+        "string in data", "NaN in data", "huge int in data", "dims disagree",
+        "basic type with no space", "bad type text"]))
+    def test_one_corrupted_field_names_its_path_and_message(
+            self, tmp_path_factory, k, at, kind):
+        records = [{"word": w, "type": t,
+                    "tensor": {"dims": list(d), "data": list(x)}}
+                   for w, t, d, x in self.VALID]
+        records[k], field, message = self.corruption(kind, records[k], at)
+        path = tmp_path_factory.mktemp("lex") / "lex.json"
+        path.write_text(json.dumps({
+            "spaces": {"n": {"dim": 2}, "s": {"dim": 1}},
+            "entries": records}), encoding="utf-8")
+        with pytest.raises(LexiconFormatError) as err:
+            load_lexicon(path)
+        assert err.value.path == f"entries[{k}]{field}"
+        assert str(err.value) == f"entries[{k}]{field}: {message}"
+
+    def test_entries_are_slotted_and_checked_only_in_public(self, toy_lexicon):
+        # the loader and Lexicon.add build entries unchecked, with no
+        # instance dict; each is the entry the checking constructor builds
+        lex = Lexicon({"n": VectorSpace("n", 2)})
+        added = lex.add("w", "n", [1, 2])
+        for e in toy_lexicon.all_entries() + [added]:
+            assert not hasattr(e, "__dict__")
+            assert e == LexiconEntry(e.word, e.gtype, e.state)
+            with pytest.raises(AttributeError):
+                e.word = "x"
+        with pytest.raises(ValueError, match="state rank 1 != type length 2"):
+            LexiconEntry("w", parse_type_expr("n n^l"), added.state)
