@@ -145,7 +145,9 @@ def _parses(words, lexicon, target: CompoundType):
             raise UnknownWordError(w)
         readings.append(entries)
     for combo in product(*readings):
-        concat = CompoundType([t for e in combo for t in e.gtype.simples])
+        concat = CompoundType._trusted(
+            tuple([t for e in combo for t in e.gtype.simples]),
+            tuple([k for e in combo for k in e.gtype.key]))
         for diagram in iter_reductions(concat, target):
             yield combo, diagram
 

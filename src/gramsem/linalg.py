@@ -95,6 +95,9 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through the checks
+        return Tensor, (self.spaces, self.array)
+
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.spaces)

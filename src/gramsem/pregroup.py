@@ -2,9 +2,14 @@
 
 Compound types are sequences of basic grammar types decorated with an
 integer adjoint exponent (``n^l`` is ``-1``, ``n^r`` is ``+1``, repeated
-letters iterate).  A reduction from one compound type to another is a
-sorted tuple of non-crossing "cups", ``(i, j)`` position pairs, each
-cancelling an adjacent-after-inner-removal pair ``x . x^r`` or ``x^l . x``.
+letters iterate).  The parser keeps each token it has parsed, with its
+simple type and its ``(base name, adjoint)`` pair, in a bounded private
+table, so a text of known tokens costs one lookup per token.  A compound
+type is immutable and keeps its text and its key, those pairs, once
+computed; the key is what a search's chart is kept by.
+A reduction from one compound type to another is a sorted tuple of
+non-crossing "cups", ``(i, j)`` position pairs, each cancelling an
+adjacent-after-inner-removal pair ``x . x^r`` or ``x^l . x``.
 The search fills two tables of counts (the counting semiring over
 pregroup spans) in one loop over the source, right to left: for each
 position, the spans from it that reduce to the unit, and its number of
@@ -114,24 +119,53 @@ def can_contract(a: SimpleType, b: SimpleType) -> bool:
 
 
 class CompoundType:
-    """An element of the free pregroup: an ordered sequence of simple types.
-    The empty sequence is the monoid unit.
+    """An element of the free pregroup: an immutable sequence of simple
+    types.  The empty sequence is the monoid unit.
 
     >>> t = parse_type_expr("n^r s n^l")
-    >>> len(t), str(t)
-    (3, 'n^r s n^l')
+    >>> len(t), str(t), t.key
+    (3, 'n^r s n^l', (('n', 1), ('s', 0), ('n', -1)))
     >>> str(CompoundType() + t) == str(t)
     True
     """
 
-    __slots__ = ("simples",)
+    # the text and the key are None until first used, unless the parser
+    # gave the key
+    __slots__ = ("simples", "_text", "_key")
 
     def __init__(self, simples: Iterable[SimpleType] = ()):
         simples = tuple(simples)
         for t in simples:
             if not isinstance(t, SimpleType):
                 raise TypeError(f"expected SimpleType, got {t!r}")
+        self._init(simples, None)
+
+    def _init(self, simples, key):
         object.__setattr__(self, "simples", simples)
+        object.__setattr__(self, "_text", None)
+        object.__setattr__(self, "_key", key)
+
+    @classmethod
+    def _trusted(cls, simples, key=None) -> "CompoundType":
+        """Unchecked: ``simples`` a tuple of SimpleType, ``key`` their
+        :attr:`key` or None."""
+        ct = object.__new__(cls)
+        ct._init(simples, key)
+        return ct
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CompoundType is immutable")
+
+    def __reduce__(self):
+        return CompoundType, (self.simples,)
+
+    @property
+    def key(self) -> tuple[tuple[str, int], ...]:
+        """The simples as ``(base name, adjoint)`` pairs: a search's chart key."""
+        if self._key is None:
+            object.__setattr__(self, "_key", tuple([
+                (t.base.name, t.adjoint) for t in self.simples]))
+        return self._key
 
     def __len__(self):
         return len(self.simples)
@@ -141,11 +175,11 @@ class CompoundType:
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return CompoundType(self.simples[key])
+            return CompoundType._trusted(self.simples[key])
         return self.simples[key]
 
     def __add__(self, other: "CompoundType") -> "CompoundType":
-        return CompoundType(self.simples + other.simples)
+        return CompoundType._trusted(self.simples + other.simples)
 
     def __eq__(self, other):
         return isinstance(other, CompoundType) and self.simples == other.simples
@@ -157,10 +191,54 @@ class CompoundType:
         return bool(self.simples)
 
     def __str__(self):
-        return " ".join(str(t) for t in self.simples)
+        if self._text is None:
+            object.__setattr__(self, "_text", " ".join([
+                str(t) for t in self.simples]))
+        return self._text
 
     def __repr__(self):
         return f"CompoundType({str(self)!r})"
+
+
+# Each token parsed so far, as its SimpleType and its (base name, adjoint)
+# pair.  Only tokens that parse are kept.  The table holds at most
+# _TOKEN_BOUND characters of tokens; an insert that would pass it clears
+# the table, and a longer token is not kept.
+_TOKEN_BOUND = 2 ** 12
+_tokens = {}
+_token_chars = 0
+
+
+def _token(text, match):
+    """The ``(SimpleType, (name, adjoint))`` of the token ``match`` of
+    ``text``: from the table when kept, else parsed and kept."""
+    global _token_chars
+    word = match.group()
+    parsed = _tokens.get(word)
+    if parsed is not None:
+        return parsed
+    m = _SIMPLE_RE.match(word)
+    if m is None:
+        raise TypeSyntaxError(
+            f"expected type name, found {word[0]!r}", text, match.start())
+    name, adjoint = m.group(1), m.group(2) or ""
+    stop = match.start() + m.end()
+    if stop < match.end():
+        raise TypeSyntaxError(
+            f"bad adjoint letter {text[stop]!r}" if adjoint else
+            f"unexpected character {text[stop]!r} after type name",
+            text, stop)
+    if adjoint == "^":
+        raise TypeSyntaxError("dangling '^' expects 'l' or 'r'", text, stop - 1)
+    z = adjoint.count("r") - adjoint.count("l")
+    parsed = SimpleType(BasicType(name), z), (name, z)
+    if len(word) <= _TOKEN_BOUND:
+        if _token_chars + len(word) > _TOKEN_BOUND:
+            _tokens.clear()
+            _token_chars = 0
+        _tokens[word] = parsed
+        _token_chars += len(word)
+    return parsed
 
 
 def parse_type_expr(text: str) -> CompoundType:
@@ -175,29 +253,18 @@ def parse_type_expr(text: str) -> CompoundType:
     -2
 
     Raises :class:`TypeSyntaxError` with a 0-based position on malformed input.
+
+    Each token that parsed is kept in a bounded private table with its
+    simple type and key pair, so a text made of kept tokens costs one
+    lookup per token.  A text with a new token is checked token by token,
+    in order.  Whole texts are not kept.
     """
-    simples = []
-    built = {}  # one SimpleType per distinct token; sharing is safe, it is frozen
-    for token in _TOKEN_RE.finditer(text):
-        word = token.group()
-        if word not in built:
-            m = _SIMPLE_RE.match(word)
-            if m is None:
-                raise TypeSyntaxError(
-                    f"expected type name, found {word[0]!r}", text, token.start())
-            name, adjoint = m.group(1), m.group(2) or ""
-            stop = token.start() + m.end()
-            if stop < token.end():
-                raise TypeSyntaxError(
-                    f"bad adjoint letter {text[stop]!r}" if adjoint else
-                    f"unexpected character {text[stop]!r} after type name",
-                    text, stop)
-            if adjoint == "^":
-                raise TypeSyntaxError("dangling '^' expects 'l' or 'r'", text, stop - 1)
-            z = adjoint.count("r") - adjoint.count("l")
-            built[word] = SimpleType(BasicType(name), z)
-        simples.append(built[word])
-    return CompoundType(simples)
+    try:
+        parsed = [_tokens[word] for word in text.split()]
+    except (KeyError, AttributeError):  # a new token, or text is not a str
+        parsed = [_token(text, m) for m in _TOKEN_RE.finditer(text)]
+    return CompoundType._trusted(tuple([p[0] for p in parsed]),
+                                 tuple([p[1] for p in parsed]))
 
 
 class Cup(NamedTuple):
@@ -382,9 +449,7 @@ def iter_reductions(source: CompoundType,
     n, m = len(source), len(target)
     if (n - m) % 2 != 0 or n < m:
         return
-    closed, reach, steps, redexes_at, listed = _chart(
-        tuple([(t.base.name, t.adjoint) for t in source]),
-        tuple([(t.base.name, t.adjoint) for t in target]))
+    closed, reach, steps, redexes_at, listed = _chart(source.key, target.key)
     if not reach[0][0]:
         return
     cups: list[Cup] = []  # the preorder walk appends them in sorted order

@@ -1,9 +1,13 @@
 """Command-line behaviour: output shapes, exit codes, JSON round trips."""
 
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramsem.cli import default_lexicon_path, main, render_reduction
 from gramsem import linalg, pregroup
@@ -462,3 +466,78 @@ class TestVerifyAndDemo:
         with pytest.raises(SystemExit) as err:
             main(["reduce"])
         assert err.value.code == 2
+
+
+# The exit-code contract over generated arguments: type texts with
+# malformed tokens, words the lexicon lacks, and corrupted lexicons.
+GOOD_TOKENS = ["n", "s", "n^l", "n^r", "s^l", "s^r", "n^ll", "n^lr", "x"]
+BAD_TOKENS = ["n^", "n^x", "9", "n*", "^l", "n\u200bs"]
+FUZZ_WORDS = ["moths", "saw", "men", "with", "telescopes", "cats"]
+SENTENCES = [["moths", "saw", "men"],
+             ["moths", "saw", "men", "with", "telescopes"],
+             ["men", "saw", "moths", "with", "men", "with", "moths"]]
+JUNK = [None, -1, 0, 2.5, True, "x", "n^x", "s n", [], [0], [3, 3], [1, "a"],
+        {}]
+# three texts in four hold only tokens that parse
+type_texts = st.lists(st.sampled_from(GOOD_TOKENS), max_size=7).map(" ".join)
+type_texts = type_texts | type_texts | type_texts | st.lists(
+    st.sampled_from(GOOD_TOKENS + BAD_TOKENS), max_size=7).map(" ".join)
+
+
+def corrupted(data, text):
+    """``text``, a lexicon file, with one character, its tail or one JSON
+    field spoiled."""
+    kind = data.draw(st.sampled_from(["char", "cut", "entry", "space"]))
+    if kind == "char":
+        i = data.draw(st.integers(0, len(text) - 1))
+        return (text[:i] + data.draw(st.sampled_from('{}[]",:-.019enrs^ '))
+                + text[i + 1:])
+    if kind == "cut":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    value = data.draw(st.sampled_from(JUNK))
+    if kind == "space":
+        doc["spaces"][data.draw(st.sampled_from(["n", "s"]))]["dim"] = value
+    else:
+        entry = data.draw(st.sampled_from(doc["entries"]))
+        field = data.draw(st.sampled_from(["word", "type", "tensor", "dims",
+                                           "data"]))
+        (entry["tensor"] if field in ("dims", "data") else entry)[field] = value
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_lexicon(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "lexicon.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reduce_and_meaning_exit_0_1_or_2(fuzz_lexicon, data):
+    if data.draw(st.booleans()):
+        argv = ["reduce", data.draw(type_texts), data.draw(type_texts)]
+        argv += data.draw(st.sampled_from([[], ["--json"]]))
+    else:
+        sentences = st.sampled_from(SENTENCES)
+        words = data.draw(sentences | sentences | st.lists(
+            st.sampled_from(FUZZ_WORDS), min_size=1, max_size=6))
+        argv = ["meaning", *words, "--lexicon", AMBIG]
+        if data.draw(st.booleans()):
+            with open(AMBIG, encoding="utf-8") as fh:
+                fuzz_lexicon.write_text(corrupted(data, fh.read()),
+                                        encoding="utf-8")
+            argv[-1] = str(fuzz_lexicon)
+        if data.draw(st.integers(0, 3)) == 0:
+            argv += ["--target", data.draw(type_texts)]
+        index = st.sampled_from([0, 0, 0, 1, 2, 4, -1])
+        argv += ["--parse-index", str(data.draw(index))]
+        argv += data.draw(st.sampled_from([[], ["--json"], ["--list-parses"]]))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 0 and "--json" in argv:
+        json.loads(out.getvalue())

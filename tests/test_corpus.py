@@ -1,8 +1,10 @@
 """Tokenisation, co-occurrence counting, and lexicon persistence."""
 
+import copy
 import io
 import json
 import math
+import pickle
 import re
 import string
 from pathlib import Path
@@ -612,3 +614,30 @@ class TestLoadByTypeGroup:
                 e.word = "x"
         with pytest.raises(ValueError, match="state rank 1 != type length 2"):
             LexiconEntry("w", parse_type_expr("n n^l"), added.state)
+
+
+def test_pickle_and_deepcopy_round_trip(ambiguous_lexicon):
+    # a Tensor rebuilds through its constructor, so a restored array is
+    # read-only again; the four types that hold one, and a CompoundType
+    from gramsem.functor import SentenceAnalysis, sentence_meaning
+
+    def states(obj):
+        if isinstance(obj, Tensor):
+            return [obj]
+        if isinstance(obj, LexiconEntry):
+            return [obj.state]
+        if isinstance(obj, Lexicon):
+            return [e.state for e in obj.all_entries()]
+        if isinstance(obj, SentenceAnalysis):
+            return [obj.meaning] + [e.state for e in obj.words]
+        return []
+
+    lex = ambiguous_lexicon
+    analysis = sentence_meaning(["moths", "saw", "men", "with", "telescopes"],
+                                lex, lex.functor_assignment(), parse_index=1)
+    entry = lex.entries_for("with")[1]
+    for obj in [analysis.meaning, entry, lex, analysis, entry.gtype]:
+        for back in [pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)]:
+            assert type(back) is type(obj) and back == obj
+            assert len(states(back)) == len(states(obj))
+            assert not any(s.array.flags.writeable for s in states(back))

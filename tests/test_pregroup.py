@@ -3,6 +3,8 @@
 import gc
 import itertools
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -34,6 +36,24 @@ def empty_chart_table(monkeypatch, bound=None):
     monkeypatch.setattr(pregroup, "_chart_entries", 0)
     if bound is not None:
         monkeypatch.setattr(pregroup, "_CHART_BOUND", bound)
+
+
+def empty_token_table(monkeypatch, bound=None):
+    """Start the parser from an empty token table, with ``bound`` total
+    characters when given; ``monkeypatch`` puts the old table back."""
+    monkeypatch.setattr(pregroup, "_tokens", {})
+    monkeypatch.setattr(pregroup, "_token_chars", 0)
+    if bound is not None:
+        monkeypatch.setattr(pregroup, "_TOKEN_BOUND", bound)
+
+
+def parse_outcome(text):
+    """What parsing ``text`` gives: its simples and text, or its error."""
+    try:
+        t = parse_type_expr(text)
+    except TypeSyntaxError as err:
+        return "error", str(err), err.position, err.text
+    return t, str(t), t.key
 
 
 def chart_entries(chart):
@@ -106,6 +126,80 @@ class TestParser:
             assert not text[err.position].isspace()
         else:
             assert ct(str(t)) == t
+
+
+# type texts of valid and malformed tokens, split by assorted whitespace
+TYPE_TEXTS = st.lists(st.sampled_from(
+    ["n", "s", "np", "^", "l", "r", "x", "1", "*", "\u00e9", "\u200b",
+     " ", "\t", "\n", "\u3000", "\u2028", "\u0085", "\u001c"]),
+    max_size=16).map("".join)
+
+
+class TestTokenTable:
+    """The parser keeps each token that parsed in a table bounded by its
+    total characters; a text whose tokens are all kept is parsed by
+    ``str.split`` and one lookup per token, which must agree with the
+    checked token-by-token parse."""
+
+    def test_split_and_the_token_pattern_agree_on_every_code_point(self):
+        # the fast path splits with str.split, the checked path with \S+;
+        # each code point stands alone between two letters
+        text = "a".join(map(chr, range(sys.maxunicode + 1)))
+        assert text.split() == pregroup._TOKEN_RE.findall(text), [
+            hex(c) for c in range(sys.maxunicode + 1)
+            if ("a" + chr(c) + "b").split()
+            != pregroup._TOKEN_RE.findall("a" + chr(c) + "b")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(TYPE_TEXTS)
+    def test_a_cold_and_a_warm_parse_agree(self, text):
+        with pytest.MonkeyPatch.context() as mp:
+            empty_token_table(mp)
+            cold = parse_outcome(text)
+            # keep each piece between other characters that parses, so that
+            # a fast path that split a bad token would find its pieces kept
+            for piece in re.split(r"[^A-Za-z0-9^]+", text):
+                parse_outcome(piece)
+            warm = parse_outcome(text)
+        assert cold == warm
+        if cold[0] != "error":
+            assert cold[2] == tuple((t.base.name, t.adjoint) for t in cold[0])
+
+    def test_the_key_is_given_by_the_parser_and_computed_elsewhere(self):
+        t = ct("n^r s n^lr")
+        built = CompoundType(t.simples)
+        assert t._key is not None and built._key is None
+        assert built.key == t.key == (("n", 1), ("s", 0), ("n", 0))
+        assert str(built) == str(t) == "n^r s n"
+
+    def test_bad_tokens_are_never_kept_and_the_bound_holds(self, monkeypatch):
+        bound = 12
+        empty_token_table(monkeypatch, bound)
+        rng = random.Random(3)
+        tokens = ["n", "s^l", "np^rr", "x9^l", "n^", "9n", "n*", "s^lx",
+                  "a" * 13, "b" * 12, "n\u200bs"]
+        for _ in range(400):
+            text = " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 5)))
+            outcome = parse_outcome(text)
+            kept = pregroup._tokens
+            assert sum(map(len, kept)) == pregroup._token_chars <= bound
+            for word, (simple, key) in kept.items():
+                assert len(word) <= bound
+                assert key == (simple.base.name, simple.adjoint)
+                assert pregroup._SIMPLE_RE.fullmatch(word)
+            if outcome[0] != "error":
+                assert [str(t) for t in outcome[0]] == \
+                    [str(ct(w)) for w in text.split()]
+        # every token was seen, and only the ones that parse were kept
+        assert {"n^", "9n", "n*", "s^lx", "n\u200bs"}.isdisjoint(pregroup._tokens)
+        assert ct("a" * 13 + " " + "a" * 13) == ct("a" * 13) + ct("a" * 13)
+        assert "a" * 13 not in pregroup._tokens
+
+    def test_a_compound_type_is_immutable(self):
+        t = ct("n^r s n^l")
+        for name in ("simples", "_text", "_key", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(t, name, ())
 
 
 class TestTypes:
